@@ -21,7 +21,6 @@ from .design import (
     DesignSpec,
     GroupSequentialDesign,
     build_design,
-    efficiency_gain,
     round_for_report,
     single_stage_n,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "WangTsiatis",
     "assess_delay",
     "build_design",
-    "efficiency_gain",
     "efficiency_loss",
     "ess_delay",
     "exit_probabilities",

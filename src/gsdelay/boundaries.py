@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
 _WT_BRACKET = (0.1, 10.0)
 _SPEND_BRACKET = (-4.0, 12.0)
 
+# Largest x with a finite exp(x).
+_MAX_EXP_ARG = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class WangTsiatis:
@@ -62,8 +66,11 @@ class HwangShihDeCani:
     gamma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ConfigError("spending parameter gamma must be finite")
+        # hsd_spend evaluates exp(-gamma), which must not overflow
+        if not (math.isfinite(self.gamma) and -self.gamma < _MAX_EXP_ARG):
+            raise ConfigError(
+                f"spending parameter gamma must be finite and above {-_MAX_EXP_ARG:.2f}"
+            )
 
 
 BoundaryFamily = WangTsiatis | HwangShihDeCani
@@ -83,14 +90,6 @@ class BoundarySet:
     futility: tuple[float, ...]
     achieved_alpha: float
 
-    def __post_init__(self):
-        K = len(self.efficacy)
-        for k in range(K - 1):
-            if self.futility[k] >= self.efficacy[k]:
-                raise ConfigError("futility bound must stay below efficacy before the last stage")
-        if self.futility[K - 1] != self.efficacy[K - 1]:
-            raise ConfigError("boundaries must meet at the last stage")
-
 
 def _apply_futility(efficacy: np.ndarray, style: FutilityStyle) -> np.ndarray:
     f = np.empty_like(efficacy)
@@ -108,9 +107,10 @@ def _check_fractions(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size < 1:
         raise ConfigError("information fractions must be a non-empty sequence")
-    if rho[0] <= 0 or np.any(np.diff(rho) <= 0):
+    # negated comparisons so that NaN fails them
+    if not (rho[0] > 0 and np.all(np.diff(rho) > 0)):
         raise ConfigError("information fractions must be positive and strictly increasing")
-    if abs(rho[-1] - 1.0) > 1e-12:
+    if not abs(rho[-1] - 1.0) <= 1e-12:
         raise ConfigError("the last information fraction must be 1")
     return rho
 
@@ -175,9 +175,11 @@ def hsd_spend(t: float, gamma: float, alpha: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ConfigError("information fraction must lie in [0, 1]")
-    if gamma == 0.0:
+    scale = 1.0 - math.exp(-gamma)
+    if scale == 0.0:
+        # gamma is 0, or too close to 0 for exp to tell: the linear limit
         return alpha * t
-    return alpha * (1.0 - math.exp(-gamma * t)) / (1.0 - math.exp(-gamma))
+    return alpha * (1.0 - math.exp(-gamma * t)) / scale
 
 
 def spending_boundaries(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .design import GroupSequentialDesign
 from .errors import ConfigError
-from .recruitment import PipelineProfile, RecruitmentModel, pipeline_counts, recruit_time
+from .recruitment import PipelineProfile, RecruitmentModel, pipeline_counts
 
 __all__ = [
     "DelayQuery",
@@ -75,17 +75,30 @@ def ess_delay(design: GroupSequentialDesign, profile: PipelineProfile) -> float:
     return float(np.dot(design.exit.stop_per_stage, consumed))
 
 
+def _loss(design: GroupSequentialDesign, eg_delay: float) -> float | None:
+    eg = design.eg
+    if eg <= 0:
+        return None
+    return 100.0 * (eg - eg_delay) / eg
+
+
 def efficiency_loss(design: GroupSequentialDesign, profile: PipelineProfile) -> float | None:
     """Percentage of the expected-sample-size gain lost to the delay.
 
     Returns None when the design gains nothing over the single-stage test
     (eg <= 0), where the loss percentage is undefined.
     """
-    eg = design.eg
-    if eg <= 0:
-        return None
-    eg_del = (design.n_single - ess_delay(design, profile)) / design.n_single
-    return 100.0 * (eg - eg_del) / eg
+    essd = ess_delay(design, profile)
+    return _loss(design, (design.n_single - essd) / design.n_single)
+
+
+def _completion_times(
+    design: GroupSequentialDesign, query: DelayQuery, recruit_times
+) -> tuple[float, float, float]:
+    stop = design.exit.stop_per_stage
+    et = query.m + query.m_interim + sum(t * s for t, s in zip(recruit_times, stop))
+    t_single = design.n_single * query.model.t_max / design.max_n
+    return et, t_single, t_single + query.m
 
 
 def expected_time(
@@ -97,11 +110,8 @@ def expected_time(
     m + m_interim + sum_k t_k * S_k, the single-stage recruitment time at the
     same rate, and the single-stage completion time t_single + m.
     """
-    stop = design.exit.stop_per_stage
-    times = tuple(recruit_time(n, design.max_n, query.model) for n in design.stage_n)
-    et = query.m + query.m_interim + sum(t * s for t, s in zip(times, stop))
-    t_single = design.n_single * query.model.t_max / design.max_n
-    return et, t_single, t_single + query.m
+    profile = pipeline_counts(design, query.model, query.m)
+    return _completion_times(design, query, profile.recruit_times)
 
 
 def assess_delay(design: GroupSequentialDesign, query: DelayQuery) -> DelayAssessment:
@@ -109,13 +119,13 @@ def assess_delay(design: GroupSequentialDesign, query: DelayQuery) -> DelayAsses
     profile = pipeline_counts(design, query.model, query.m)
     essd = ess_delay(design, profile)
     eg_del = (design.n_single - essd) / design.n_single
-    et, t_single, et_single = expected_time(design, query)
+    et, t_single, et_single = _completion_times(design, query, profile.recruit_times)
     return DelayAssessment(
         profile=profile,
         ess_delay=essd,
         eg=design.eg,
         eg_delay=eg_del,
-        el=efficiency_loss(design, profile),
+        el=_loss(design, eg_del),
         et=et,
         t_single=t_single,
         et_single=et_single,

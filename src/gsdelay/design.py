@@ -21,6 +21,7 @@ from .boundaries import (
     BoundarySet,
     FutilityStyle,
     WangTsiatis,
+    _check_fractions,
     build_boundaries,
 )
 from .errors import ConfigError, SolveError
@@ -37,12 +38,16 @@ __all__ = [
     "GroupSequentialDesign",
     "single_stage_n",
     "build_design",
-    "efficiency_gain",
     "round_for_report",
 ]
 
 # Power search gives up beyond this multiple of the single-stage size.
 _MAX_INFLATION = 50.0
+
+# Floor on tau^2 times the information per participant. The single-stage
+# size is z^2 over this product, so the floor keeps every size the power
+# search can reach far inside the float range.
+_MIN_NONCENTRALITY = 1e-290
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,11 @@ class DesignSpec:
             raise ConfigError("variances must be positive")
         if self.allocation <= 0:
             raise ConfigError("allocation ratio must be positive")
+        if not self.tau * self.tau * self.information_for_total(1.0) > _MIN_NONCENTRALITY:
+            raise ConfigError("tau is too small for the variances and allocation: sizes overflow")
         if self.info_fractions is not None:
-            rho = np.asarray(self.info_fractions, dtype=float)
-            if len(rho) != self.num_stages:
+            if len(_check_fractions(self.info_fractions)) != self.num_stages:
                 raise ConfigError("info_fractions must have one entry per stage")
-            if rho[0] <= 0 or np.any(np.diff(rho) <= 0) or abs(rho[-1] - 1.0) > 1e-12:
-                raise ConfigError("info_fractions must increase strictly to 1")
 
     @property
     def fractions(self) -> tuple[float, ...]:
@@ -219,11 +223,6 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
         ess=ess,
         eg=(n_ref - ess) / n_ref,
     )
-
-
-def efficiency_gain(design: GroupSequentialDesign) -> float:
-    """Relative expected-sample-size saving over the single-stage design."""
-    return (design.n_single - design.ess) / design.n_single
 
 
 def round_for_report(design: GroupSequentialDesign, granularity: int = 1) -> tuple[int, ...]:

@@ -7,15 +7,19 @@ Two accrual patterns are modelled over a recruitment period of t_max months:
   fraction l of the period has elapsed, then flat at delta * l * t_max.
   l = 1 is a fully linear ramp.
 
-Time is treated as discrete months, but all month sums are evaluated in
-closed form with real-valued stage times, so no quantity is forced to an
-integer. Pipeline participants at an interim are the expected recruits
-during the outcome-delay window of length m that follows the interim's
-recruitment time, capped so the trial never exceeds n_max.
+Both are one expected-accrual curve N(t): a discrete-month ramp
+delta * t(t+1)/2 up to ramp_end = l * t_max, then a flat rate. Uniform
+accrual is the same curve with ramp_end = 0. Month sums are evaluated in
+closed form at real-valued times, so no quantity is forced to an integer.
+The recruitment time of the first n participants is the inverse of N, and
+the pipeline participants at an interim are the expected recruits
+N(t_k + m) - N(t_k) during the outcome-delay window of length m that follows
+it, capped so the trial never exceeds n_max.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -28,6 +32,8 @@ if TYPE_CHECKING:
 __all__ = [
     "RecruitmentModel",
     "PipelineProfile",
+    "AccrualCurve",
+    "accrual_curve",
     "solve_delta",
     "recruit_time",
     "pipeline_counts",
@@ -95,32 +101,53 @@ def solve_delta(n_max: float, t_max: float, ramp_fraction: float) -> float:
     return n_max / total
 
 
+@dataclass(frozen=True)
+class AccrualCurve:
+    """Expected cumulative accrual N(t) of a trial recruiting n_max participants.
+
+    N(t) = delta * t(t+1)/2 up to ramp_end, then rises at the flat rate.
+    """
+
+    n_max: float
+    delta: float
+    ramp_end: float
+    rate: float
+
+    @property
+    def ramp_capacity(self) -> float:
+        return 0.5 * self.delta * self.ramp_end * (self.ramp_end + 1.0)
+
+    def __call__(self, t: float) -> float:
+        if t <= self.ramp_end:
+            return 0.5 * self.delta * t * (t + 1.0)
+        return self.ramp_capacity + self.rate * (t - self.ramp_end)
+
+    def time(self, n: float) -> float:
+        """Inverse of N: expected months needed to recruit the first n participants."""
+        if not 0.0 <= n <= self.n_max * (1.0 + 1e-12):
+            raise ConfigError(f"n must lie in [0, n_max], got {n}")
+        capacity = self.ramp_capacity
+        if n < capacity:
+            return (-1.0 + (1.0 + 8.0 * n / self.delta) ** 0.5) / 2.0
+        return self.ramp_end + (n - capacity) / self.rate
+
+
+def accrual_curve(n_max: float, model: RecruitmentModel) -> AccrualCurve:
+    """The expected-accrual curve of ``model`` for a trial of n_max participants."""
+    if model.pattern == "uniform":
+        curve = AccrualCurve(n_max, 0.0, 0.0, n_max / model.t_max)
+    else:
+        delta = solve_delta(n_max, model.t_max, model.ramp_fraction)
+        ramp_end = model.ramp_fraction * model.t_max
+        curve = AccrualCurve(n_max, delta, ramp_end, delta * ramp_end)
+    if not 0.0 < curve.rate < math.inf:
+        raise ConfigError(f"the accrual rate of {model} is outside the float range")
+    return curve
+
+
 def recruit_time(n: float, n_max: float, model: RecruitmentModel) -> float:
     """Expected months needed to recruit the first n participants."""
-    if not 0.0 <= n <= n_max * (1.0 + 1e-12):
-        raise ConfigError(f"n must lie in [0, n_max], got {n}")
-    if model.pattern == "uniform":
-        return n * model.t_max / n_max
-    delta = solve_delta(n_max, model.t_max, model.ramp_fraction)
-    ramp_end = model.ramp_fraction * model.t_max
-    ramp_capacity = 0.5 * delta * ramp_end * (ramp_end + 1.0)
-    if n <= ramp_capacity:
-        return (-1.0 + (1.0 + 8.0 * n / delta) ** 0.5) / 2.0
-    return ramp_end + (n - ramp_capacity) / (delta * ramp_end)
-
-
-def _mixed_window(t_k: float, m: float, delta: float, ramp_end: float) -> float:
-    """Expected recruits in the m months after time t_k under the mixed model."""
-    if t_k >= ramp_end:
-        # interim falls in the flat phase
-        return delta * ramp_end * m
-    if t_k + m < ramp_end:
-        # the whole window stays on the ramp: sum of delta*(t_k+j), j=1..m
-        return delta * m * t_k + delta * m * (m + 1.0) / 2.0
-    # window straddles the ramp end: finish the ramp, then flat
-    ramp_part = (ramp_end - t_k) * (t_k + 1.0 + ramp_end) / 2.0
-    flat_part = ramp_end * (t_k + m - ramp_end)
-    return delta * (ramp_part + flat_part)
+    return accrual_curve(n_max, model).time(n)
 
 
 def pipeline_counts(
@@ -134,18 +161,8 @@ def pipeline_counts(
     if m < 0:
         raise ConfigError("the delay length m must be non-negative")
     n_max = design.max_n
-    stage_n = design.stage_n
-    K = len(stage_n)
-    times = tuple(recruit_time(n, n_max, model) for n in stage_n)
-
-    if model.pattern == "uniform":
-        rate = n_max / model.t_max
-        raw = [rate * m] * K
-    else:
-        delta = solve_delta(n_max, model.t_max, model.ramp_fraction)
-        ramp_end = model.ramp_fraction * model.t_max
-        raw = [_mixed_window(t, m, delta, ramp_end) for t in times]
-
-    pipeline = [min(raw[k], n_max - stage_n[k]) for k in range(K)]
-    pipeline[K - 1] = 0.0
+    curve = accrual_curve(n_max, model)
+    times = tuple(curve.time(n) for n in design.stage_n)
+    pipeline = [min(curve(t + m) - curve(t), n_max - n) for t, n in zip(times, design.stage_n)]
+    pipeline[-1] = 0.0
     return PipelineProfile(tuple(pipeline), times)

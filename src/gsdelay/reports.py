@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,7 +68,10 @@ _CASE_T_MAX = 7.0
 _CASE_M = 6.0
 _CASE_FAMILIES = (("pocock", 0.5), ("obf", 0.0), ("wt", 0.25))
 
-_build_cached = lru_cache(maxsize=None)(build_design)
+# Enough for every design behind the bundled reference tables (21) and the
+# sweeps of a few scenarios besides.
+_DESIGN_CACHE_SIZE = 64
+_build_cached = lru_cache(maxsize=_DESIGN_CACHE_SIZE)(build_design)
 
 
 def _fmt(value, places: int = 2) -> str:
@@ -77,8 +81,6 @@ def _fmt(value, places: int = 2) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float) and value == int(value) and places == 0:
-        return str(int(value))
     return f"{value:.{places}f}"
 
 
@@ -196,7 +198,7 @@ def run_sweep(scenario: Scenario, threads: int = 1, nodes: int = DEFAULT_NODES) 
         return _build_cached(scenario.design_spec(k, spacing), nodes)
 
     if threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
             designs = dict(zip(keys, pool.map(build, keys)))
     else:
         designs = {key: build(key) for key in keys}
@@ -328,7 +330,6 @@ def _rel_check(table, row_key, column, expected, computed, tol) -> CellCheck:
     return CellCheck(table, row_key, column, expected, computed, f"rel {tol:.0%}", ok)
 
 
-@lru_cache(maxsize=None)
 def _table_design(num_stages: int, spacing: str, nodes: int) -> GroupSequentialDesign:
     spec = DesignSpec(
         alpha=0.05,

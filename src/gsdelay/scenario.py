@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis
+from .boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis, _check_fractions
 from .design import DesignSpec
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError
 from .recruitment import RecruitmentModel
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "INTERIM_SPACINGS", "spacing_for"]
@@ -252,8 +252,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError("rho cannot be combined with a list of stage counts", e.line)
         if len(values) != stages[0]:
             raise ScenarioError(f"rho needs {stages[0]} entries, got {len(values)}", e.line)
-        if values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:])) or abs(values[-1] - 1) > 1e-12:
-            raise ScenarioError("rho must increase strictly to 1", e.line)
+        try:
+            _check_fractions(values)
+        except ConfigError as exc:
+            raise ScenarioError(f"rho: {exc}", e.line) from None
         rho = values
 
     spacings: tuple[str, ...] = ("equal",)
@@ -290,6 +292,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         if family != "hsd":
             raise ScenarioError("gamma only applies to the hsd family", e.line)
         gamma = _real(e.value, e.line, "gamma")
+        try:
+            HwangShihDeCani(gamma)
+        except ConfigError as exc:
+            raise ScenarioError(str(exc), e.line) from None
     if family == "hsd" and gamma is None:
         raise ScenarioError(f"{source}: the hsd family requires a gamma value")
 
@@ -345,8 +351,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             if not delays:
                 raise ScenarioError("m: at least one delay length is required", e.line)
             for m in delays:
-                if m < 0:
-                    raise ScenarioError(f"m = {m} must be non-negative", e.line)
+                if not 0.0 <= m < float("inf"):
+                    raise ScenarioError(f"m = {m} must be finite and non-negative", e.line)
         if "m_interim" in dly:
             m_interim = real_in(dly["m_interim"], "m_interim", 0.0, float("inf"), open_ends=(False, True))
 

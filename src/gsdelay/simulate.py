@@ -6,15 +6,11 @@ the quadrature recursion, so the two can validate each other. Replicates are
 generated in fixed-size blocks with per-block substreams spawned from the
 seed; block results are merged in block order, so estimates are bit-identical
 for a given seed regardless of how many worker threads are used.
-
-An optional participant-level mode simulates every outcome instead of the
-z-increments. It needs whole per-arm group sizes, so stage sizes are rounded
-and the information levels shift slightly; it is a slow sanity check, not an
-exact oracle for the continuous design.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,7 +40,6 @@ class SimConfig:
     seed: int
     delay: DelayQuery | None = None
     mu: float | None = None
-    participant_level: bool = False
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -105,45 +100,10 @@ def _simulate_z_block(rng, n, K, info, mu):
     return np.cumsum(increments, axis=1) / np.sqrt(info)
 
 
-def _simulate_x_block(rng, n, config):
-    """Participant-level z-paths: every outcome drawn, group sizes rounded."""
-    design = config.design
-    spec = design.spec
-    mu = spec.evaluation_effect if config.mu is None else config.mu
-    K = design.num_stages
-    n0 = np.maximum(np.rint(design.control_n).astype(int), 1)
-    n1 = np.maximum(np.rint(design.experimental_n).astype(int), 1)
-    s0 = np.sqrt(spec.sigma0_sq)
-    s1 = np.sqrt(spec.sigma1_sq)
-
-    sum0 = np.zeros((n, K))
-    sum1 = np.zeros((n, K))
-    prev0 = prev1 = 0
-    acc0 = acc1 = 0.0
-    for k in range(K):
-        add0 = rng.standard_normal((n, n0[k] - prev0)).sum(axis=1) * s0 if n0[k] > prev0 else 0.0
-        add1 = (
-            rng.standard_normal((n, n1[k] - prev1)).sum(axis=1) * s1 + mu * (n1[k] - prev1)
-            if n1[k] > prev1
-            else 0.0
-        )
-        acc0 = acc0 + add0
-        acc1 = acc1 + add1
-        sum0[:, k] = acc0
-        sum1[:, k] = acc1
-        prev0, prev1 = n0[k], n1[k]
-
-    se = np.sqrt(spec.sigma0_sq / n0 + spec.sigma1_sq / n1)
-    return (sum1 / n1 - sum0 / n0) / se
-
-
-def _run_block(seed_seq, size, config, stage_data):
+def _run_block(seed_seq, size, stage_data):
     K, info, e, f, mu, consumed, durations = stage_data
     rng = np.random.default_rng(seed_seq)
-    if config.participant_level:
-        z = _simulate_x_block(rng, size, config)
-    else:
-        z = _simulate_z_block(rng, size, K, info, mu)
+    z = _simulate_z_block(rng, size, K, info, mu)
 
     active = np.ones(size, dtype=bool)
     accept_counts = np.zeros(K, dtype=np.int64)
@@ -183,12 +143,10 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
 
     if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda args: _run_block(*args, config, stage_data), zip(children, sizes))
-            )
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+            results = list(pool.map(lambda c, s: _run_block(c, s, stage_data), children, sizes))
     else:
-        results = [_run_block(c, s, config, stage_data) for c, s in zip(children, sizes)]
+        results = [_run_block(c, s, stage_data) for c, s in zip(children, sizes)]
 
     K = stage_data[0]
     accept_counts = np.zeros(K, dtype=np.int64)

@@ -14,3 +14,28 @@ def table_design():
         return _table_design(num_stages, spacing, 301)
 
     return build
+
+
+@pytest.fixture
+def recording_pool():
+    """A ThreadPoolExecutor stand-in that records max_workers and maps serially.
+
+    Yields (factory, seen): patch the factory in for ThreadPoolExecutor and
+    read the requested worker counts from seen; no thread is started.
+    """
+    seen = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return Pool, seen

@@ -16,7 +16,6 @@ from gsdelay.design import DesignSpec, build_design, round_for_report, single_st
 from gsdelay.recruitment import RecruitmentModel, pipeline_counts
 from gsdelay.reports import (
     _build_cached,
-    _table_design,
     case_study_tau,
     verify_case_study,
     verify_linear,
@@ -47,7 +46,6 @@ def check_failures(table_report):
 def test_criterion_01_uniform_recruitment_table():
     # cold-cache timing: the whole grid must reproduce in under ten seconds
     _build_cached.cache_clear()
-    _table_design.cache_clear()
     start = time.perf_counter()
     table_report = verify_uniform()
     elapsed = time.perf_counter() - start

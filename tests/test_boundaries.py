@@ -83,6 +83,14 @@ class TestHsdSpend:
         for t in (0.0, 0.3, 0.8, 1.0):
             assert hsd_spend(t, 0.0, 0.05) == pytest.approx(0.05 * t, abs=1e-15)
 
+    def test_gamma_too_close_to_zero_for_exp_is_linear(self):
+        for gamma in (1e-38, -1e-20):
+            assert hsd_spend(0.3, gamma, 0.05) == pytest.approx(0.015, abs=1e-15)
+
+    def test_gamma_that_overflows_exp_rejected(self):
+        with pytest.raises(ConfigError, match="gamma"):
+            HwangShihDeCani(-1000.0)
+
     def test_monotone_in_t(self):
         grid = [hsd_spend(t, -2.0, 0.05) for t in np.linspace(0, 1, 21)]
         assert all(b > a for a, b in zip(grid, grid[1:]))

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsdelay.cli import main
 
@@ -154,3 +160,71 @@ class TestVerifyTablesCommand:
         assert output.count("FAIL K=") == 5
         report = out.read_text(encoding="utf-8")
         assert report.count("\n") == 798 + 1  # header + one line per cell
+
+
+class TestBadInputsExitCleanly:
+    @pytest.mark.parametrize(
+        "design_line, delay_line",
+        [
+            ("tau = 0.5\nfamily = hsd\ngamma = -1000", "m = 3"),
+            ("tau = 0.5\nfamily = wang-tsiatis", "m = inf"),
+            ("tau = 0.5\nfamily = wang-tsiatis", "m = nan"),
+            ("tau = 1e-300\nfamily = wang-tsiatis", "m = 3"),
+        ],
+    )
+    def test_config_error(self, scenario_file, capsys, design_line, delay_line):
+        text = (
+            f"[design]\nalpha = 0.05\nbeta = 0.1\nk = 2\n{design_line}\n"
+            f"[recruitment]\npattern = uniform\nt_max = 24\n[delay]\n{delay_line}\n"
+        )
+        assert main(["sweep", "--scenario", scenario_file(text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Scenario values: a typical draw, or one of these edge tokens.
+EDGE_TOKENS = ("0", "-1", "5e-324", "1e-300", "1e300", "inf", "nan", "-1000", "1/0", "x")
+
+
+def _value(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(EDGE_TOKENS))
+
+
+@st.composite
+def scenario_texts(draw):
+    lines = [
+        "[design]",
+        f"alpha = {draw(_value(0.01, 0.1))}",
+        f"beta = {draw(_value(0.05, 0.3))}",
+        f"tau = {draw(_value(0.2, 1.0))}",
+        f"k = {draw(st.sampled_from(('1', '2')))}",
+        f"futility = {draw(st.sampled_from(('binding-zero', 'symmetric', 'none')))}",
+        f"allocation = {draw(_value(0.5, 2.0))}",
+    ]
+    if draw(st.booleans()):
+        lines += ["family = hsd", f"gamma = {draw(_value(-4.0, 2.0))}"]
+    else:
+        lines += ["family = wang-tsiatis", f"delta = {draw(_value(0.0, 0.5))}"]
+    pattern = draw(st.sampled_from(("uniform", "mixed", "linear")))
+    lines += ["[recruitment]", f"pattern = {pattern}", f"t_max = {draw(_value(6.0, 48.0))}"]
+    if pattern == "mixed":
+        lines.append(f"l = {draw(_value(0.0, 1.0))}")
+    lines += [
+        "[delay]",
+        f"m = {draw(_value(0.0, 30.0))} {draw(_value(0.0, 30.0))}",
+        f"m_interim = {draw(_value(0.0, 2.0))}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_texts())
+def test_generated_scenarios_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--scenario", str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

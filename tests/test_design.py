@@ -6,7 +6,6 @@ from gsdelay.design import (
     DesignSpec,
     GroupSequentialDesign,
     build_design,
-    efficiency_gain,
     round_for_report,
     single_stage_n,
 )
@@ -109,20 +108,23 @@ class TestBuildDesign:
             wt_spec(0)
         with pytest.raises(ConfigError):
             wt_spec(2, info_fractions=(0.5, 0.9))
+        with pytest.raises(ConfigError):
+            wt_spec(3, info_fractions=(0.5, 1.0))
+
+    @pytest.mark.parametrize("kwargs", [dict(tau=1e-300), dict(tau=1e-150, allocation=1e-200)])
+    def test_rejects_sizes_that_overflow(self, kwargs):
+        with pytest.raises(ConfigError, match="tau is too small"):
+            wt_spec(2, **kwargs)
 
 
 class TestEfficiencyGain:
     def test_single_stage_gain_is_zero(self):
         design = build_design(wt_spec(1))
-        assert efficiency_gain(design) == pytest.approx(0.0, abs=1e-9)
+        assert design.eg == pytest.approx(0.0, abs=1e-9)
 
     def test_reference_ratios(self, table_design):
-        assert efficiency_gain(table_design(2)) == pytest.approx((137.02 - 105.84) / 137.02, abs=0.002)
-        assert efficiency_gain(table_design(3)) == pytest.approx((137.02 - 98.74) / 137.02, abs=0.002)
-
-    def test_matches_stored_fields(self, table_design):
-        design = table_design(4)
-        assert efficiency_gain(design) == design.eg
+        assert table_design(2).eg == pytest.approx((137.02 - 105.84) / 137.02, abs=0.002)
+        assert table_design(3).eg == pytest.approx((137.02 - 98.74) / 137.02, abs=0.002)
 
 
 def fake_design(stage_n):

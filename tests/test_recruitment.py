@@ -1,9 +1,16 @@
+import math
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsdelay.errors import ConfigError
 from gsdelay.recruitment import (
     RecruitmentModel,
+    accrual_curve,
     pipeline_counts,
     recruit_time,
     solve_delta,
@@ -167,3 +174,86 @@ class TestPipelineCounts:
     def test_rejects_negative_delay(self, table_design):
         with pytest.raises(ConfigError):
             pipeline_counts(table_design(2), RecruitmentModel.uniform(24.0), -1.0)
+
+
+def closed_form_time(n, n_max, model):
+    """Per-pattern inverse of the accrual curve, kept as a reference oracle."""
+    if model.pattern == "uniform":
+        return n * model.t_max / n_max
+    delta = solve_delta(n_max, model.t_max, model.ramp_fraction)
+    ramp_end = model.ramp_fraction * model.t_max
+    ramp_capacity = 0.5 * delta * ramp_end * (ramp_end + 1.0)
+    if n <= ramp_capacity:
+        return (-1.0 + (1.0 + 8.0 * n / delta) ** 0.5) / 2.0
+    return ramp_end + (n - ramp_capacity) / (delta * ramp_end)
+
+
+def closed_form_window(t_k, m, n_max, model):
+    """Expected recruits in the m months after t_k, one branch per phase."""
+    if model.pattern == "uniform":
+        return n_max / model.t_max * m
+    delta = solve_delta(n_max, model.t_max, model.ramp_fraction)
+    ramp_end = model.ramp_fraction * model.t_max
+    if t_k >= ramp_end:
+        return delta * ramp_end * m
+    if t_k + m < ramp_end:
+        return delta * m * t_k + delta * m * (m + 1.0) / 2.0
+    ramp_part = (ramp_end - t_k) * (t_k + 1.0 + ramp_end) / 2.0
+    flat_part = ramp_end * (t_k + m - ramp_end)
+    return delta * (ramp_part + flat_part)
+
+
+models = st.one_of(
+    st.floats(6.0, 48.0).map(RecruitmentModel.uniform),
+    st.builds(
+        RecruitmentModel.mixed,
+        st.floats(6.0, 48.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+    ),
+)
+
+
+@st.composite
+def stage_sizes(draw):
+    K = draw(st.integers(2, 5))
+    n_max = draw(st.floats(20.0, 1000.0))
+    cuts = draw(st.lists(st.floats(0.05, 0.95), min_size=K - 1, max_size=K - 1, unique=True))
+    return n_max, tuple(c * n_max for c in sorted(cuts)) + (n_max,)
+
+
+class TestAgainstClosedForm:
+    """The accrual curve reproduces the per-pattern closed forms to 1e-12."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stage_sizes(), models, st.floats(0.0, 30.0))
+    def test_pipeline_counts_and_times(self, sizes, model, m):
+        n_max, stage_n = sizes
+        design = SimpleNamespace(max_n=n_max, stage_n=stage_n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sub-month ramps are in range
+            try:
+                profile = pipeline_counts(design, model, m)
+            except ConfigError:
+                # only where the closed form's flat rate is not finite either
+                rate = closed_form_window(model.t_max, 1.0, n_max, model)
+                assert not 0.0 < rate < math.inf
+                return
+            times = [closed_form_time(n, n_max, model) for n in stage_n]
+            expected = [
+                min(closed_form_window(t, m, n_max, model), n_max - n)
+                for t, n in zip(times, stage_n)
+            ]
+        expected[-1] = 0.0
+        tol = 1e-12 * n_max
+        assert profile.recruit_times == pytest.approx(times, rel=1e-12, abs=1e-12)
+        assert profile.pipeline == pytest.approx(expected, rel=1e-12, abs=tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(20.0, 1000.0), models, st.floats(0.0, 1.0))
+    def test_curve_inverts_recruit_time(self, n_max, model, fraction):
+        # a sub-month ramp (which warns) gives N a slope of order 1/l near
+        # t = 0, so N(t) cannot recover n to 1e-12 from a rounded t there
+        assume(model.pattern == "uniform" or model.ramp_fraction * model.t_max >= 1.0)
+        n = fraction * n_max
+        curve = accrual_curve(n_max, model)
+        assert curve(recruit_time(n, n_max, model)) == pytest.approx(n, rel=1e-12, abs=1e-12 * n_max)

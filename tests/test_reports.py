@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gsdelay import reports
 from gsdelay.reports import (
     CASE_STUDY_COLUMNS,
     SWEEP_COLUMNS,
@@ -150,3 +151,12 @@ class TestVerify:
         assert report.ok, [f"{c.row} {c.column}" for c in report.failures]
         assert len(report.checks) == 180
         assert "180/180" in report.summary()
+
+
+
+def test_sweep_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, small_table):
+    pool, seen = recording_pool
+    monkeypatch.setattr(reports, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(reports.os, "cpu_count", lambda: 3)
+    assert run_sweep(parse_scenario(SMALL), threads=1000).rows == small_table.rows
+    assert seen == [3]

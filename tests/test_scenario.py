@@ -110,6 +110,23 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="line 6"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("rho", ["0.5 0.4 1", "0 0.5 1", "0.3 0.6 0.9", "nan 0.5 1"])
+    def test_bad_rho_carries_line_number(self, rho):
+        text = f"[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk = 3\nrho = {rho}\nfamily = wt\n"
+        with pytest.raises(ScenarioError, match="line 6: rho: .*fraction"):
+            parse_scenario(text)
+
+    def test_hsd_gamma_that_overflows_the_spend(self):
+        text = "[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk=2\nfamily=hsd\ngamma=-1000\n"
+        with pytest.raises(ScenarioError, match="line 7: spending parameter gamma"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("m", ["inf", "nan", "-1"])
+    def test_delay_must_be_finite_and_non_negative(self, m):
+        text = FULL.replace("m = 3 6 9 12 18 24", f"m = 3 {m}")
+        with pytest.raises(ScenarioError, match="line 15: m = "):
+            parse_scenario(text)
+
     def test_unknown_spacing_label(self):
         text = "[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk = 5\nspacing = latest\nfamily = wt\n"
         with pytest.raises(ScenarioError, match="latest.*k = 5"):

@@ -1,13 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from gsdelay.boundaries import FutilityStyle, WangTsiatis
 from gsdelay.delay import DelayQuery, assess_delay
 from gsdelay.design import DesignSpec, build_design
 from gsdelay.errors import ConfigError
 from gsdelay.recruitment import RecruitmentModel
-from gsdelay.sequential import SequentialProblem, exit_probabilities
 from gsdelay.simulate import SimConfig, simulate
+
+# the package exports the function simulate under the module's name
+sim = importlib.import_module("gsdelay.simulate")
 
 SEED = 20240814
 
@@ -65,35 +68,19 @@ class TestAgainstAnalytic:
         assert abs(result.mean_duration - assessment.et) <= 3 * result.se_duration
 
 
-class TestParticipantLevel:
-    def test_matches_analytic_at_rounded_sizes(self):
-        spec = DesignSpec(
-            alpha=0.05, beta=0.1, tau=0.5, num_stages=2,
-            family=WangTsiatis(0.25), futility=FutilityStyle.BINDING_ZERO,
-        )
-        design = build_design(spec)
-        config = SimConfig(
-            design=design, replicates=200_000, seed=SEED, participant_level=True
-        )
-        result = simulate(config)
-        # whole-participant group sizes shift the information slightly, so
-        # compare with the analytic answer at those rounded sizes
-        n0 = np.maximum(np.rint(design.control_n), 1)
-        n1 = np.maximum(np.rint(design.experimental_n), 1)
-        info = tuple(1.0 / (1.0 / a + 1.0 / b) for a, b in zip(n0, n1))
-        problem = SequentialProblem(
-            info, spec.tau, design.boundaries.efficacy, design.boundaries.futility
-        )
-        exact = exit_probabilities(problem)
-        for k in range(2):
-            assert abs(result.reject_per_stage[k] - exact.reject_per_stage[k]) <= 3.5 * max(
-                result.se_reject[k], 1e-9
-            )
-
-
 class TestValidation:
     def test_rejects_bad_config(self, table_design):
         with pytest.raises(ConfigError):
             SimConfig(design=table_design(2), replicates=0, seed=1)
         with pytest.raises(ConfigError):
             SimConfig(design=table_design(2), replicates=10, seed=-1)
+
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, table_design):
+    pool, seen = recording_pool
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    config = SimConfig(design=table_design(2), replicates=300_000, seed=SEED)
+    assert simulate(config, threads=1000) == simulate(config, threads=1)
+    assert seen == [3]
