@@ -10,6 +10,7 @@ can exceed 100 when the delayed design is worse than a single-stage trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,11 @@ class DelayQuery:
     m_interim: float = 0.0
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ConfigError("the delay length m must be non-negative")
-        if self.m_interim < 0:
-            raise ConfigError("m_interim must be non-negative")
+        # negated comparisons so that NaN fails them
+        if not 0.0 <= self.m < math.inf:
+            raise ConfigError("the delay length m must be finite and non-negative")
+        if not 0.0 <= self.m_interim < math.inf:
+            raise ConfigError("m_interim must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ continuous throughout; rounding to whole participants happens only in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .sequential import (
     DEFAULT_NODES,
     ExitProbabilities,
     SequentialProblem,
+    _clipped_probit,
     exit_probabilities,
     normal_quantile,
 )
@@ -167,9 +169,11 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     """Build the design described by ``spec``.
 
     The maximum sample size is found by root search so that the rejection
-    probability at the target effect equals 1 - beta (within 1e-6 or better);
-    rejection is monotone in the maximum size, so the bracket is expanded
-    geometrically until it straddles the target.
+    probability at the target effect equals 1 - beta (within 1e-6 or better).
+    The search works on the probit scale of the power and starts at the
+    single-stage size, which lies below the root; rejection is monotone in the
+    maximum size, so the bracket is widened by 1.5x until it straddles the
+    target.
 
     Raises:
         SolveError: if the power is unattainable below 50x the single-stage size.
@@ -181,24 +185,41 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
         spec.alpha, spec.beta, spec.tau, spec.sigma0_sq, spec.sigma1_sq, spec.allocation
     )
 
-    def power_gap(total_n: float) -> float:
-        info = tuple(rho * spec.information_for_total(total_n))
-        problem = SequentialProblem(info, spec.tau, bounds.efficacy, bounds.futility)
-        return exit_probabilities(problem, nodes=nodes).total_reject - (1.0 - spec.beta)
+    z_power = normal_quantile(1.0 - spec.beta)
 
-    lo, hi = 0.5 * n_ref, 3.0 * n_ref
-    while power_gap(lo) > 0 and lo > 1e-9 * n_ref:
-        lo /= 4.0
+    @functools.cache
+    def exit_at(total_n: float, drift: float) -> ExitProbabilities:
+        info = tuple(rho * spec.information_for_total(total_n))
+        problem = SequentialProblem(info, drift, bounds.efficacy, bounds.futility)
+        return exit_probabilities(problem, nodes=nodes)
+
+    def power_gap(total_n: float) -> float:
+        # on the probit scale, close to linear in sqrt(total_n)
+        return _clipped_probit(exit_at(total_n, spec.tau).total_reject) - z_power
+
+    # A level-alpha test never beats the single-stage test at its own size, so
+    # n_ref lies below the root unless the power asked for is below the level.
+    lo = n_ref
     if power_gap(lo) > 0:
-        # rejection tends to the attained level as information vanishes, so the
-        # requested power sits below the design's floor
-        raise SolveError(f"power {1 - spec.beta} is below the attainable floor of this design")
-    while power_gap(hi) < 0:
-        hi *= 2.0
-        if hi > _MAX_INFLATION * n_ref:
-            raise SolveError(
-                f"power {1 - spec.beta} unattainable below {_MAX_INFLATION}x the single-stage size"
-            )
+        while power_gap(lo) > 0 and lo > 1e-9 * n_ref:
+            lo /= 4.0
+        if power_gap(lo) > 0:
+            # rejection tends to the attained level as information vanishes, so the
+            # requested power sits below the design's floor
+            raise SolveError(f"power {1 - spec.beta} is below the attainable floor of this design")
+        hi = 4.0 * lo
+    else:
+        # The single-stage probit of the power grows as sqrt(total_n); close
+        # the gap at that rate and step 3% further, so the first step mostly
+        # lands just past the root.
+        z_ref = spec.tau * math.sqrt(spec.information_for_total(n_ref))
+        hi = min(1.03 * n_ref * (1.0 - power_gap(lo) / z_ref) ** 2, _MAX_INFLATION * n_ref)
+        while power_gap(hi) < 0:
+            lo, hi = hi, 1.5 * hi
+            if hi > _MAX_INFLATION * n_ref:
+                raise SolveError(
+                    f"power {1 - spec.beta} unattainable below {_MAX_INFLATION}x the single-stage size"
+                )
     max_n = float(brentq(power_gap, lo, hi, xtol=1e-9))
 
     stage_n = rho * max_n
@@ -206,9 +227,8 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     control_n = stage_n / (1.0 + r)
     experimental_n = stage_n * r / (1.0 + r)
     info_levels = tuple(rho * spec.information_for_total(max_n))
-
-    problem = SequentialProblem(info_levels, spec.evaluation_effect, bounds.efficacy, bounds.futility)
-    exit = exit_probabilities(problem, nodes=nodes)
+    # brentq returns a point it has evaluated, so at mu_eval = tau this is a cache hit
+    exit = exit_at(max_n, spec.evaluation_effect)
     ess = float(np.dot(exit.stop_per_stage, stage_n))
     return GroupSequentialDesign(
         spec=spec,

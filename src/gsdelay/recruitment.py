@@ -158,8 +158,8 @@ def pipeline_counts(
     Counts are capped at n_max - n_k (recruitment stops at n_max) and the
     final analysis has none by construction.
     """
-    if m < 0:
-        raise ConfigError("the delay length m must be non-negative")
+    if not 0.0 <= m < math.inf:
+        raise ConfigError("the delay length m must be finite and non-negative")
     n_max = design.max_n
     curve = accrual_curve(n_max, model)
     times = tuple(curve.time(n) for n in design.stage_n)

@@ -301,7 +301,14 @@ class TableReport:
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAIL"
-        return f"{self.name}: {len(self.checks) - len(self.failures)}/{len(self.checks)} cells ok [{status}]"
+        max_dev = max(
+            (abs(c.computed - c.expected) / abs(c.expected) for c in self.checks if c.expected),
+            default=0.0,
+        )
+        return (
+            f"{self.name}: {len(self.checks) - len(self.failures)}/{len(self.checks)} cells ok "
+            f"[{status}], max dev {max_dev:.2%}"
+        )
 
 
 def _read_reference(name: str) -> list[dict[str, str]]:

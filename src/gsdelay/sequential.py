@@ -7,6 +7,13 @@ information at analysis k. Exit probabilities are computed by propagating
 the joint sub-density of the continuing trial across each continuation
 interval [f_k, e_k] on a Simpson quadrature grid (a density recursion),
 which is exact up to quadrature error and costs O(K * nodes^2).
+
+The recursion is one stage stepper. It holds the continuing sub-density,
+gives the probability of crossing any critical value at the next analysis in
+O(nodes), and advances one analysis with a Gaussian kernel built in place in
+a single nodes x nodes buffer. ``exit_probabilities`` is a loop over it, and
+the error-spending solve steps it once per stage, so a whole set of
+Hwang-Shih-DeCani boundaries costs about one recursion.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ DEFAULT_NODES = 301
 # N(theta*sqrt(I_k), 1) density, so mass outside mean +/- 8 is < 1e-15.
 _TAIL_WIDTH = 8.0
 
+# The smallest and largest doubles strictly inside (0, 1).
+_SMALLEST_P = math.ulp(0.0)
+_LARGEST_P = 1.0 - 2.0**-53
+
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, absolute error below 1e-12 (saturates in the tails)."""
@@ -45,6 +56,15 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ConfigError(f"normal_quantile requires p in (0, 1), got {p}")
     return float(ndtri(p))
+
+
+def _clipped_probit(p: float) -> float:
+    """Inverse normal CDF of p clipped to the open interval (0, 1).
+
+    A probability that underflows to 0, or reaches 1, keeps a finite probit,
+    so root searches on the probit scale never see an infinity.
+    """
+    return float(ndtri(min(max(p, _SMALLEST_P), _LARGEST_P)))
 
 
 @dataclass(frozen=True)
@@ -123,13 +143,91 @@ def _simpson_grid(lo: float, hi: float, nodes: int):
     z = np.linspace(lo, hi, n)
     h = (hi - lo) / (n - 1)
     w = np.full(n, h / 3.0)
-    w[0] = w[-1] = h / 3.0
     w[1:-1:2] *= 4.0
     w[2:-1:2] *= 2.0
     return z, w
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+class _StageStepper:
+    """The continuing sub-density of a sequential z-test, one analysis at a time.
+
+    At stage k (0-based) it holds the Simpson-weighted sub-density of
+    (still running, Z_{k-1} = z) on the stage-(k-1) continuation grid, so the
+    probability of reaching stage k with Z_k above or below any critical value
+    costs one O(nodes) integral of a normal CDF; ``advance`` moves the density
+    past stage k for one O(nodes^2) kernel product. Stage 0 needs no density:
+    Z_1 is N(theta * sqrt(I_1), 1).
+    """
+
+    def __init__(self, info: np.ndarray, theta: float, nodes: int):
+        self._info = info
+        self._theta = theta
+        self._nodes = nodes
+        self._mean = theta * math.sqrt(info[0])
+        self._stage = 0
+        self._wg = None  # weights * density; None at stage 0 and once no mass continues
+        self._kernel = None  # one nodes x nodes buffer, reused by every advance
+
+    def _standardised(self, c: float) -> np.ndarray:
+        # the increment Z_k sqrt(I_k) - Z_{k-1} sqrt(I_{k-1}) is N(theta dI, dI)
+        return (c * self._sqrt_i - self._cond_mean) / self._sd
+
+    def above(self, c: float) -> float:
+        """P(reach this stage and Z_k > c)."""
+        if self._stage == 0:
+            return 1.0 - ndtr(c - self._mean)
+        if self._wg is None:
+            return 0.0
+        return float(np.dot(self._wg, 1.0 - ndtr(self._standardised(c))))
+
+    def below(self, c: float) -> float:
+        """P(reach this stage and Z_k <= c)."""
+        if self._stage == 0:
+            return ndtr(c - self._mean)
+        if self._wg is None:
+            return 0.0
+        return float(np.dot(self._wg, ndtr(self._standardised(c))))
+
+    def advance(self, e: float, f: float) -> None:
+        """Continue past this stage on (f, e], clipped to the stage mean +/- 8."""
+        k = self._stage
+        self._stage += 1
+        if k > 0 and self._wg is None:
+            return
+        info = self._info
+        sqrt_ik = math.sqrt(info[k])
+        mean_k = self._theta * sqrt_ik
+        lo = max(f, mean_k - _TAIL_WIDTH) if math.isfinite(f) else mean_k - _TAIL_WIDTH
+        hi = min(e, mean_k + _TAIL_WIDTH)
+        if hi <= lo:
+            self._wg = None
+            return
+        z, w = _simpson_grid(lo, hi, self._nodes)
+        if k == 0:
+            g = np.exp(-0.5 * (z - mean_k) ** 2) / _SQRT_2PI
+        else:
+            if self._kernel is None:
+                self._kernel = np.empty((z.size, z.size))
+            # one reused buffer, as fresh nodes x nodes temporaries page-fault; the
+            # values equal exp(-0.5 * u * u) * scale with u = (z sqrt(I_k) - cond_mean) / sd bit for bit
+            kernel = self._kernel
+            np.subtract.outer(z * sqrt_ik, self._cond_mean, out=kernel)
+            kernel /= self._sd
+            np.square(kernel, out=kernel)
+            kernel *= -0.5
+            np.exp(kernel, out=kernel)
+            kernel *= sqrt_ik / (self._sd * _SQRT_2PI)
+            g = kernel @ self._wg
+        self._wg = w * g
+        if self._stage < len(info):
+            d_info = info[self._stage] - info[k]
+            self._sd = math.sqrt(d_info)
+            self._sqrt_i = math.sqrt(info[self._stage])
+            # conditional mean of the score S = Z * sqrt(I) given the previous node
+            self._cond_mean = z * sqrt_ik + self._theta * d_info
 
 
 def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -> ExitProbabilities:
@@ -149,54 +247,16 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
         ExitProbabilities at the problem's drift.
     """
     K = problem.num_stages
-    info = np.asarray(problem.info_levels, dtype=float)
     e = np.asarray(problem.efficacy, dtype=float)
     f = np.asarray(problem.futility, dtype=float)
-    theta = problem.drift
-
+    stepper = _StageStepper(np.asarray(problem.info_levels, dtype=float), problem.drift, nodes)
     accept = np.zeros(K)
     reject = np.zeros(K)
-
-    mean_1 = theta * math.sqrt(info[0])
-    reject[0] = 1.0 - ndtr(e[0] - mean_1)
-    if K == 1:
-        accept[0] = ndtr(e[0] - mean_1)
-        return ExitProbabilities(tuple(accept), tuple(reject))
-    accept[0] = ndtr(f[0] - mean_1) if math.isfinite(f[0]) else 0.0
-
-    # z: grid on the continuation interval, g: sub-density values, w: weights
-    lo = max(f[0], mean_1 - _TAIL_WIDTH) if math.isfinite(f[0]) else mean_1 - _TAIL_WIDTH
-    hi = min(e[0], mean_1 + _TAIL_WIDTH)
-    if hi <= lo:
-        return ExitProbabilities(tuple(accept), tuple(reject))
-    z, w = _simpson_grid(lo, hi, nodes)
-    g = np.exp(-0.5 * (z - mean_1) ** 2) / _SQRT_2PI
-
-    for k in range(1, K):
-        d_info = info[k] - info[k - 1]
-        sd = math.sqrt(d_info)
-        sqrt_ik = math.sqrt(info[k])
-        # conditional mean of the score S_k = Z_k * sqrt(I_k) given the previous node
-        cond_mean = z * math.sqrt(info[k - 1]) + theta * d_info
-
-        wg = w * g
-        upper = (e[k] * sqrt_ik - cond_mean) / sd
-        reject[k] = float(np.dot(wg, 1.0 - ndtr(upper)))
-        if k == K - 1:
-            accept[k] = float(np.dot(wg, ndtr(upper)))
-            break
+    for k in range(K - 1):
+        reject[k] = stepper.above(e[k])
         if math.isfinite(f[k]):
-            accept[k] = float(np.dot(wg, ndtr((f[k] * sqrt_ik - cond_mean) / sd)))
-
-        mean_k = theta * sqrt_ik
-        lo = max(f[k], mean_k - _TAIL_WIDTH) if math.isfinite(f[k]) else mean_k - _TAIL_WIDTH
-        hi = min(e[k], mean_k + _TAIL_WIDTH)
-        if hi <= lo:
-            break
-        z_next, w_next = _simpson_grid(lo, hi, nodes)
-        u = (z_next[:, None] * sqrt_ik - cond_mean[None, :]) / sd
-        kernel = np.exp(-0.5 * u * u) * (sqrt_ik / (sd * _SQRT_2PI))
-        g = kernel @ wg
-        z, w = z_next, w_next
-
+            accept[k] = stepper.below(f[k])
+        stepper.advance(e[k], f[k])
+    reject[K - 1] = stepper.above(e[K - 1])
+    accept[K - 1] = stepper.below(e[K - 1])
     return ExitProbabilities(tuple(accept), tuple(reject))

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from gsdelay import boundaries, design
 from gsdelay.boundaries import (
     FutilityStyle,
     HwangShihDeCani,
@@ -10,7 +16,7 @@ from gsdelay.boundaries import (
     spending_boundaries,
     wt_boundaries,
 )
-from gsdelay.errors import ConfigError
+from gsdelay.errors import ConfigError, SolveError
 from gsdelay.sequential import SequentialProblem, exit_probabilities, normal_cdf, normal_quantile
 
 EQUAL_3 = (1 / 3, 2 / 3, 1.0)
@@ -128,3 +134,110 @@ class TestSpendingBoundaries:
         assert wt.achieved_alpha == pytest.approx(0.05, abs=1e-6)
         assert hsd.achieved_alpha == pytest.approx(0.05, abs=1e-6)
         assert wt.efficacy != hsd.efficacy
+
+
+def reference_spending_boundaries(K, rho, gamma, alpha, futility, nodes):
+    """The HSD solve as it was before stage stepping, kept as an oracle.
+
+    Every brentq step of stage k runs the whole k-stage recursion.
+    """
+    interim = {
+        FutilityStyle.BINDING_ZERO: lambda e: 0.0,
+        FutilityStyle.SYMMETRIC: lambda e: -e,
+        FutilityStyle.NONE: lambda e: -math.inf,
+    }[futility]
+
+    def level(rho, e):
+        f = [interim(x) for x in e[:-1]] + [e[-1]]
+        problem = SequentialProblem(tuple(rho), 0.0, tuple(e), tuple(f))
+        return exit_probabilities(problem, nodes=nodes).total_reject
+
+    targets = [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha]
+    if np.any(np.diff([0.0] + targets) <= 0):
+        return ConfigError
+    solved = []
+    for k in range(K):
+
+        def cumulative_error(x):
+            return level(rho[: k + 1], np.array(solved + [x])) - targets[k]
+
+        try:
+            solved.append(brentq(cumulative_error, -4.0, 12.0, xtol=1e-12))
+        except ValueError:
+            return SolveError
+    e = np.asarray(solved)
+    return tuple(e), level(rho, e)
+
+
+class TestAgainstReferenceSpendingSolve:
+    @given(
+        K=st.integers(1, 10),
+        gaps=st.lists(st.floats(0.01, 1.0), min_size=10, max_size=10),
+        gamma=st.floats(-6.0, 3.0),
+        alpha=st.floats(0.005, 0.25),
+        style=st.sampled_from(list(FutilityStyle)),
+        nodes=st.sampled_from([51, 101]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, K, gaps, gamma, alpha, style, nodes):
+        rho = np.cumsum(gaps[:K]) / sum(gaps[:K])
+        rho[-1] = 1.0
+        assume(np.all(np.diff(rho) > 0))
+        expected = reference_spending_boundaries(K, rho, gamma, alpha, style, nodes)
+        try:
+            bounds = spending_boundaries(K, rho, gamma, alpha, style, nodes)
+        except (ConfigError, SolveError) as exc:
+            assert expected is type(exc)
+            return
+        assert (bounds.efficacy, bounds.achieved_alpha) == expected
+
+    @pytest.mark.parametrize("style", list(FutilityStyle))
+    def test_bitwise_equal_at_default_nodes(self, style):
+        rho = np.array([0.2, 0.45, 0.7, 0.85, 1.0])
+        expected = reference_spending_boundaries(5, rho, -2.0, 0.025, style, 301)
+        bounds = spending_boundaries(5, rho, -2.0, 0.025, style)
+        assert (bounds.efficacy, bounds.achieved_alpha) == expected
+
+    def test_empty_continuation_leaves_the_next_stage_unbracketed(self):
+        # spending almost all of alpha = 0.49 by the second look needs e_2 < 0,
+        # below the binding futility bound at zero
+        with pytest.raises(SolveError, match="stage 3"):
+            spending_boundaries(3, EQUAL_3, 4.0, 0.49, FutilityStyle.BINDING_ZERO)
+        assert reference_spending_boundaries(
+            3, np.array(EQUAL_3), 4.0, 0.49, FutilityStyle.BINDING_ZERO, 301
+        ) is SolveError
+
+
+BUDGET_FAMILIES = [WangTsiatis(0.0), WangTsiatis(0.5), HwangShihDeCani(-4.0), HwangShihDeCani(1.0)]
+BUDGET_ALPHAS = [0.01, 0.025, 0.05, 0.1]
+
+
+def test_recursion_budget(monkeypatch):
+    """Density recursions per solve over K 1-10, both families, every futility style."""
+    calls = {"boundaries": 0, "design": 0}
+
+    def counting(module):
+        def wrapped(*args, **kwargs):
+            calls[module] += 1
+            return exit_probabilities(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(boundaries, "exit_probabilities", counting("boundaries"))
+    monkeypatch.setattr(design, "exit_probabilities", counting("design"))
+    worst = {"wt": 0, "hsd": 0, "power": 0}
+    for K in range(1, 11):
+        for i, family in enumerate(BUDGET_FAMILIES):
+            for j, style in enumerate(FutilityStyle):
+                alpha = BUDGET_ALPHAS[(K + i + j) % len(BUDGET_ALPHAS)]
+                spec = design.DesignSpec(
+                    alpha=alpha, beta=0.1, tau=0.5, num_stages=K, family=family, futility=style
+                )
+                calls.update(boundaries=0, design=0)
+                design.build_design(spec)
+                kind = "wt" if isinstance(family, WangTsiatis) else "hsd"
+                worst[kind] = max(worst[kind], calls["boundaries"])
+                worst["power"] = max(worst["power"], calls["design"])
+    assert worst["hsd"] <= 1
+    assert worst["wt"] <= 10
+    assert worst["power"] <= 12

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gsdelay.delay import DelayQuery, assess_delay, efficiency_loss, ess_delay, expected_time
@@ -133,3 +135,13 @@ class TestAssessDelay:
             DelayQuery(m=-1.0, model=RecruitmentModel.uniform(24.0))
         with pytest.raises(ConfigError):
             DelayQuery(m=1.0, model=RecruitmentModel.uniform(24.0), m_interim=-0.5)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delay(self, m):
+        with pytest.raises(ConfigError, match="finite"):
+            DelayQuery(m=m, model=RecruitmentModel.uniform(24.0))
+
+    @pytest.mark.parametrize("m_interim", [math.nan, math.inf])
+    def test_rejects_non_finite_interim_overhead(self, m_interim):
+        with pytest.raises(ConfigError, match="finite"):
+            DelayQuery(m=1.0, model=RecruitmentModel.uniform(24.0), m_interim=m_interim)

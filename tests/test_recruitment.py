@@ -175,6 +175,11 @@ class TestPipelineCounts:
         with pytest.raises(ConfigError):
             pipeline_counts(table_design(2), RecruitmentModel.uniform(24.0), -1.0)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delay(self, table_design, m):
+        with pytest.raises(ConfigError, match="finite"):
+            pipeline_counts(table_design(2), RecruitmentModel.uniform(24.0), m)
+
 
 def closed_form_time(n, n_max, model):
     """Per-pattern inverse of the accrual curve, kept as a reference oracle."""

@@ -152,6 +152,12 @@ class TestVerify:
         assert len(report.checks) == 180
         assert "180/180" in report.summary()
 
+    def test_summary_reports_the_largest_relative_deviation(self):
+        report = verify_uniform()
+        largest = max(abs(c.computed - c.expected) / abs(c.expected) for c in report.checks if c.expected)
+        assert 0.0 < largest < 0.03
+        assert report.summary().endswith(f"[ok], max dev {largest:.2%}")
+
 
 
 def test_sweep_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, small_table):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from gsdelay.errors import ConfigError
 from gsdelay.sequential import (
     ExitProbabilities,
+    _clipped_probit,
     SequentialProblem,
     exit_probabilities,
     normal_cdf,
@@ -63,6 +65,12 @@ class TestNormalQuantile:
     def test_rejects_out_of_range(self, p):
         with pytest.raises(ConfigError):
             normal_quantile(p)
+
+    def test_clipped_probit_stays_finite_at_the_ends(self):
+        # root searches on the probit scale see levels that underflow to 0
+        assert _clipped_probit(0.0) == pytest.approx(-38.47, abs=0.01)
+        assert _clipped_probit(1.0) == pytest.approx(8.21, abs=0.01)
+        assert _clipped_probit(0.05) == normal_quantile(0.05)
 
 
 def make_problem(K, theta, efficacy, futility, info=None):
@@ -160,3 +168,97 @@ class TestExitProbabilities:
         probs = ExitProbabilities((0.1, 0.3), (0.2, 0.4))
         assert probs.stop_per_stage == (0.1 + 0.2, 0.3 + 0.4)
         assert probs.total_reject == pytest.approx(0.6)
+
+
+def reference_exit_probabilities(problem, nodes=301):
+    """The density recursion as it was before the stage stepper, kept as an oracle.
+
+    Each stage builds its kernel from fresh temporaries and the whole
+    recursion is one loop; the stepper must reproduce it bit for bit.
+    """
+    sqrt_2pi = math.sqrt(2.0 * math.pi)
+
+    def simpson_grid(lo, hi):
+        n = nodes if nodes % 2 == 1 else nodes + 1
+        z = np.linspace(lo, hi, n)
+        w = np.full(n, (hi - lo) / (n - 1) / 3.0)
+        w[1:-1:2] *= 4.0
+        w[2:-1:2] *= 2.0
+        return z, w
+
+    K = problem.num_stages
+    info = np.asarray(problem.info_levels, dtype=float)
+    e = np.asarray(problem.efficacy, dtype=float)
+    f = np.asarray(problem.futility, dtype=float)
+    theta = problem.drift
+    accept = np.zeros(K)
+    reject = np.zeros(K)
+    mean_1 = theta * math.sqrt(info[0])
+    reject[0] = 1.0 - ndtr(e[0] - mean_1)
+    if K == 1:
+        accept[0] = ndtr(e[0] - mean_1)
+        return ExitProbabilities(tuple(accept), tuple(reject))
+    accept[0] = ndtr(f[0] - mean_1) if math.isfinite(f[0]) else 0.0
+    lo = max(f[0], mean_1 - 8.0) if math.isfinite(f[0]) else mean_1 - 8.0
+    hi = min(e[0], mean_1 + 8.0)
+    if hi <= lo:
+        return ExitProbabilities(tuple(accept), tuple(reject))
+    z, w = simpson_grid(lo, hi)
+    g = np.exp(-0.5 * (z - mean_1) ** 2) / sqrt_2pi
+    for k in range(1, K):
+        d_info = info[k] - info[k - 1]
+        sd = math.sqrt(d_info)
+        sqrt_ik = math.sqrt(info[k])
+        cond_mean = z * math.sqrt(info[k - 1]) + theta * d_info
+        wg = w * g
+        upper = (e[k] * sqrt_ik - cond_mean) / sd
+        reject[k] = float(np.dot(wg, 1.0 - ndtr(upper)))
+        if k == K - 1:
+            accept[k] = float(np.dot(wg, ndtr(upper)))
+            break
+        if math.isfinite(f[k]):
+            accept[k] = float(np.dot(wg, ndtr((f[k] * sqrt_ik - cond_mean) / sd)))
+        mean_k = theta * sqrt_ik
+        lo = max(f[k], mean_k - 8.0) if math.isfinite(f[k]) else mean_k - 8.0
+        hi = min(e[k], mean_k + 8.0)
+        if hi <= lo:
+            break
+        z_next, w_next = simpson_grid(lo, hi)
+        u = (z_next[:, None] * sqrt_ik - cond_mean[None, :]) / sd
+        kernel = np.exp(-0.5 * u * u) * (sqrt_ik / (sd * sqrt_2pi))
+        g = kernel @ wg
+        z, w = z_next, w_next
+    return ExitProbabilities(tuple(accept), tuple(reject))
+
+
+@st.composite
+def sequential_problems(draw):
+    """K 1-10 with unequal information increments, any drift in [-1, 4] and
+    efficacy bounds in [0.1, 5] under one of the three futility styles."""
+    K = draw(st.integers(1, 10))
+    increments = draw(st.lists(st.floats(0.05, 20.0), min_size=K, max_size=K))
+    info = tuple(np.cumsum(increments))
+    assume(all(b > a for a, b in zip(info, info[1:])))
+    efficacy = draw(st.lists(st.floats(0.1, 5.0), min_size=K, max_size=K))
+    style = draw(st.sampled_from(["zero", "symmetric", "none"]))
+    interim = {"zero": lambda e: 0.0, "symmetric": lambda e: -e, "none": lambda e: -math.inf}[style]
+    futility = [interim(e) for e in efficacy[:-1]] + [efficacy[-1]]
+    theta = draw(st.floats(-1.0, 4.0))
+    return SequentialProblem(info, theta, tuple(efficacy), tuple(futility))
+
+
+class TestAgainstReferenceRecursion:
+    @given(problem=sequential_problems(), nodes=st.sampled_from([301, 300, 51]))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal(self, problem, nodes):
+        expected = reference_exit_probabilities(problem, nodes)
+        assert exit_probabilities(problem, nodes) == expected
+
+    def test_empty_clipped_interval_ends_the_recursion(self):
+        # the stage-2 mean is 4 * sqrt(6) = 9.8, so the continuation interval
+        # (0, 1.5] lies wholly below mean - 8 and no density continues
+        problem = SequentialProblem((1.0, 6.0, 7.0), 4.0, (3.0, 1.5, 2.0), (0.0, 0.0, 2.0))
+        probs = exit_probabilities(problem)
+        assert probs == reference_exit_probabilities(problem)
+        assert probs.reject_per_stage[2] == 0.0 and probs.accept_per_stage[2] == 0.0
+        assert probs.reject_per_stage[1] > 0.0
