@@ -31,7 +31,6 @@ from .sequential import (
     ExitProbabilities,
     SequentialProblem,
     exit_probabilities,
-    normal_cdf,
     normal_quantile,
 )
 from .simulate import SimConfig, SimResult, simulate
@@ -66,7 +65,6 @@ __all__ = [
     "expected_time",
     "hsd_spend",
     "load_scenario",
-    "normal_cdf",
     "normal_quantile",
     "parse_scenario",
     "pipeline_counts",

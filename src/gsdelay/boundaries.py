@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -120,7 +121,21 @@ def _apply_futility(efficacy: np.ndarray, style: FutilityStyle) -> np.ndarray:
     return np.array([_futility_bound(x, style) for x in efficacy[:-1]] + [efficacy[-1]])
 
 
-def _check_fractions(rho) -> np.ndarray:
+def _check_alpha(alpha: float) -> float:
+    # negated comparisons so that NaN fails them
+    if not 0.0 < alpha < 0.5:
+        raise ConfigError(f"alpha = {alpha} must lie in (0, 0.5)")
+    return alpha
+
+
+def _check_stages(K) -> int:
+    if not (isinstance(K, numbers.Integral) and K >= 1):
+        raise ConfigError(f"the stage count K = {K!r} must be an integer of at least 1")
+    return K
+
+
+def _check_fractions(rho, K: int | None = None) -> np.ndarray:
+    """Information fractions as an array; with K given, exactly K of them."""
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size < 1:
         raise ConfigError("information fractions must be a non-empty sequence")
@@ -129,6 +144,8 @@ def _check_fractions(rho) -> np.ndarray:
         raise ConfigError("information fractions must be positive and strictly increasing")
     if not abs(rho[-1] - 1.0) <= 1e-12:
         raise ConfigError("the last information fraction must be 1")
+    if K is not None and len(rho) != _check_stages(K):
+        raise ConfigError(f"expected {K} information fractions, got {len(rho)}")
     return rho
 
 
@@ -155,11 +172,8 @@ def wt_boundaries(
         futility: futility style applied while solving (binding).
         nodes: quadrature nodes per stage.
     """
-    rho = _check_fractions(rho)
-    if len(rho) != K:
-        raise ConfigError(f"expected {K} information fractions, got {len(rho)}")
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError("alpha must lie in (0, 0.5)")
+    rho = _check_fractions(rho, K)
+    _check_alpha(alpha)
     scale = rho ** (shape - 0.5)
     probit_alpha = _clipped_probit(alpha)
 
@@ -222,11 +236,8 @@ def spending_boundaries(
     the symmetric style each solved interim fixes f_k = -e_k before the next
     stage is solved.
     """
-    rho = _check_fractions(rho)
-    if len(rho) != K:
-        raise ConfigError(f"expected {K} information fractions, got {len(rho)}")
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError("alpha must lie in (0, 0.5)")
+    rho = _check_fractions(rho, K)
+    _check_alpha(alpha)
 
     targets = [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha]
     increments = np.diff([0.0] + targets)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .delay import DelayQuery
 from .design import build_design, round_for_report
@@ -104,10 +103,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_case_study(args) -> int:
-    fmt = args.format or "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"case-study output format must be csv or json, got {fmt!r}")
-    _write_or_print(case_study_table(), args.out, fmt)
+    _write_or_print(case_study_table(), args.out, args.format)
     return 0
 
 
@@ -157,7 +153,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify_tables(args) -> int:
     reports = verify_all()
-    rows = []
     for report in reports:
         print(report.summary())
         for check in report.failures:
@@ -165,28 +160,18 @@ def _cmd_verify_tables(args) -> int:
                 f"  FAIL {check.row} {check.column}: expected {check.expected:.2f}, "
                 f"computed {check.computed:.2f} ({check.tolerance})"
             )
-        for check in report.checks:
-            rows.append(
-                (
-                    check.table,
-                    check.row,
-                    check.column,
-                    f"{check.expected:.4f}",
-                    f"{check.computed:.4f}",
-                    check.tolerance,
-                    "ok" if check.ok else "fail",
-                )
-            )
     if args.out:
         table = ResultTable(
             columns=("table", "row", "column", "expected", "computed", "tolerance", "status"),
-            rows=rows,
+            rows=[
+                (c.table, c.row, c.column, f"{c.expected:.4f}", f"{c.computed:.4f}", c.tolerance,
+                 "ok" if c.ok else "fail")
+                for report in reports
+                for c in report.checks
+            ],
             parameters={},
         )
-        try:
-            table.write(args.out, "csv")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from None
+        _write_or_print(table, args.out, "csv")
     failed = sum(len(r.failures) for r in reports)
     total = sum(len(r.checks) for r in reports)
     print(f"verified {total - failed}/{total} reference cells")

@@ -10,14 +10,13 @@ can exceed 100 when the delayed design is worse than a single-stage trial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import GroupSequentialDesign
 from .errors import ConfigError
-from .recruitment import PipelineProfile, RecruitmentModel, pipeline_counts
+from .recruitment import PipelineProfile, RecruitmentModel, _check_delay, pipeline_counts
 
 __all__ = [
     "DelayQuery",
@@ -42,11 +41,8 @@ class DelayQuery:
     m_interim: float = 0.0
 
     def __post_init__(self):
-        # negated comparisons so that NaN fails them
-        if not 0.0 <= self.m < math.inf:
-            raise ConfigError("the delay length m must be finite and non-negative")
-        if not 0.0 <= self.m_interim < math.inf:
-            raise ConfigError("m_interim must be finite and non-negative")
+        _check_delay("m", self.m)
+        _check_delay("m_interim", self.m_interim)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ from .boundaries import (
     BoundarySet,
     FutilityStyle,
     WangTsiatis,
+    _check_alpha,
     _check_fractions,
+    _check_stages,
     build_boundaries,
 )
 from .errors import ConfigError, SolveError
@@ -50,6 +52,30 @@ _MAX_INFLATION = 50.0
 # size is z^2 over this product, so the floor keeps every size the power
 # search can reach far inside the float range.
 _MIN_NONCENTRALITY = 1e-290
+
+
+def _check_beta(beta: float) -> float:
+    # negated comparisons so that NaN fails them
+    if not 0.0 < beta < 1.0:
+        raise ConfigError(f"beta = {beta} must lie in (0, 1)")
+    return beta
+
+
+def _check_positive(name: str, value: float) -> float:
+    """A size, rate or effect: positive and finite (NaN fails the negated comparison)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} = {value} must be positive and finite")
+    return value
+
+
+def _check_sizing(alpha, beta, tau, sigma0_sq, sigma1_sq, allocation) -> None:
+    """The range rules on every input of the single-stage size."""
+    _check_alpha(alpha)
+    _check_beta(beta)
+    for name, value in (
+        ("tau", tau), ("sigma0_sq", sigma0_sq), ("sigma1_sq", sigma1_sq), ("allocation", allocation)
+    ):
+        _check_positive(name, value)
 
 
 @dataclass(frozen=True)
@@ -83,23 +109,14 @@ class DesignSpec:
     allocation: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError("alpha must lie in (0, 0.5)")
-        if not 0.0 < self.beta < 1.0:
-            raise ConfigError("beta must lie in (0, 1)")
-        if self.tau <= 0:
-            raise ConfigError("the target effect tau must be positive")
-        if self.num_stages < 1:
-            raise ConfigError("at least one stage is required")
-        if self.sigma0_sq <= 0 or self.sigma1_sq <= 0:
-            raise ConfigError("variances must be positive")
-        if self.allocation <= 0:
-            raise ConfigError("allocation ratio must be positive")
+        _check_sizing(
+            self.alpha, self.beta, self.tau, self.sigma0_sq, self.sigma1_sq, self.allocation
+        )
+        _check_stages(self.num_stages)
         if not self.tau * self.tau * self.information_for_total(1.0) > _MIN_NONCENTRALITY:
             raise ConfigError("tau is too small for the variances and allocation: sizes overflow")
         if self.info_fractions is not None:
-            if len(_check_fractions(self.info_fractions)) != self.num_stages:
-                raise ConfigError("info_fractions must have one entry per stage")
+            _check_fractions(self.info_fractions, self.num_stages)
 
     @property
     def fractions(self) -> tuple[float, ...]:
@@ -158,8 +175,7 @@ def single_stage_n(
 
     With equal allocation this is 2(s0^2+s1^2)(z_{1-alpha}+z_{1-beta})^2/tau^2.
     """
-    if tau <= 0:
-        raise ConfigError("the target effect tau must be positive")
+    _check_sizing(alpha, beta, tau, sigma0_sq, sigma1_sq, allocation)
     z = normal_quantile(1.0 - alpha) + normal_quantile(1.0 - beta)
     r = allocation
     return (1.0 + r) * (sigma0_sq + sigma1_sq / r) * (z / tau) ** 2
@@ -245,16 +261,13 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     )
 
 
-def round_for_report(design: GroupSequentialDesign, granularity: int = 1) -> tuple[int, ...]:
+def round_for_report(design: GroupSequentialDesign) -> tuple[int, ...]:
     """Cumulative stage sizes rounded up to whole participants.
 
-    Each cumulative total is rounded up to the next multiple of
-    ``granularity``; already-integral totals pass through unchanged and the
-    result is non-decreasing across stages.
+    Already-integral totals pass through unchanged and the result is
+    non-decreasing across stages.
     """
-    if granularity < 1:
-        raise ConfigError("granularity must be a positive integer")
-    rounded = [int(math.ceil(n / granularity - 1e-12)) * granularity for n in design.stage_n]
+    rounded = [int(math.ceil(n - 1e-12)) for n in design.stage_n]
     for k in range(1, len(rounded)):
         rounded[k] = max(rounded[k], rounded[k - 1])
     return tuple(rounded)

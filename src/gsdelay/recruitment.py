@@ -22,12 +22,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from .design import GroupSequentialDesign, _check_positive
 from .errors import ConfigError
-
-if TYPE_CHECKING:
-    from .design import GroupSequentialDesign
 
 __all__ = [
     "RecruitmentModel",
@@ -38,6 +35,20 @@ __all__ = [
     "recruit_time",
     "pipeline_counts",
 ]
+
+
+def _check_ramp_fraction(l: float) -> float:
+    # negated comparisons so that NaN fails them
+    if not 0.0 < l <= 1.0:
+        raise ConfigError(f"the ramp fraction l = {l} must lie in (0, 1]")
+    return l
+
+
+def _check_delay(name: str, m: float) -> float:
+    """A delay in months (m, or the analysis overhead m_interim): finite and non-negative."""
+    if not 0.0 <= m < math.inf:
+        raise ConfigError(f"{name} = {m} must be finite and non-negative")
+    return m
 
 
 @dataclass(frozen=True)
@@ -58,10 +69,9 @@ class RecruitmentModel:
     def __post_init__(self):
         if self.pattern not in ("uniform", "mixed"):
             raise ConfigError(f"unknown recruitment pattern {self.pattern!r}")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
-        if self.pattern == "mixed" and not 0.0 < self.ramp_fraction <= 1.0:
-            raise ConfigError("the ramp fraction l must lie in (0, 1]")
+        _check_positive("t_max", self.t_max)
+        if self.pattern == "mixed":
+            _check_ramp_fraction(self.ramp_fraction)
 
     @classmethod
     def uniform(cls, t_max: float) -> "RecruitmentModel":
@@ -90,8 +100,9 @@ def solve_delta(n_max: float, t_max: float, ramp_fraction: float) -> float:
     The ramp contributes delta * (1 + 2 + ... + l*t_max) and the flat phase
     delta * l * t_max * (1 - l) * t_max; their sum is set equal to n_max.
     """
-    if n_max <= 0 or t_max <= 0 or not 0.0 < ramp_fraction <= 1.0:
-        raise ConfigError("need n_max > 0, t_max > 0 and l in (0, 1]")
+    _check_positive("n_max", n_max)
+    _check_positive("t_max", t_max)
+    _check_ramp_fraction(ramp_fraction)
     ramp_end = ramp_fraction * t_max
     if ramp_end < 1.0:
         warnings.warn(
@@ -151,15 +162,14 @@ def recruit_time(n: float, n_max: float, model: RecruitmentModel) -> float:
 
 
 def pipeline_counts(
-    design: "GroupSequentialDesign", model: RecruitmentModel, m: float
+    design: GroupSequentialDesign, model: RecruitmentModel, m: float
 ) -> PipelineProfile:
     """Expected pipeline participants at each analysis for delay length m.
 
     Counts are capped at n_max - n_k (recruitment stops at n_max) and the
     final analysis has none by construction.
     """
-    if not 0.0 <= m < math.inf:
-        raise ConfigError("the delay length m must be finite and non-negative")
+    _check_delay("m", m)
     n_max = design.max_n
     curve = accrual_curve(n_max, model)
     times = tuple(curve.time(n) for n in design.stage_n)

@@ -1,6 +1,6 @@
 """Result tables, parameter sweeps, the case-study replica and reference checks.
 
-The sweep table is the canonical interchange format: a fixed 19-column schema
+The sweep table is the canonical interchange format: a fixed 17-column schema
 with sample sizes, pipeline counts and efficiency metrics formatted to two
 decimals (gain fractions to four). CSV files carry the full parameter echo in
 ``# key = value`` comment lines so any output can be traced back to its
@@ -8,12 +8,13 @@ scenario; the JSON format mirrors the CSV one object per row. Output is fully
 deterministic for a given scenario.
 
 Bundled reference tables (``reference/*.csv``) hold the expected operating
-characteristics for a battery of designs; ``verify_all`` recomputes every
-cell and compares at per-table tolerances.
+characteristics for a battery of designs; ``verify_all`` walks one list of
+them, recomputes every cell and compares at per-table tolerances.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -27,10 +28,9 @@ from pathlib import Path
 from .boundaries import FutilityStyle, WangTsiatis
 from .delay import DelayQuery, assess_delay
 from .design import DesignSpec, GroupSequentialDesign, build_design, round_for_report, single_stage_n
-from .errors import ConfigError, ScenarioError
+from .errors import ScenarioError
 from .recruitment import RecruitmentModel
 from .scenario import Scenario, spacing_for
-from .sequential import DEFAULT_NODES
 
 __all__ = [
     "SWEEP_COLUMNS",
@@ -127,27 +127,6 @@ class ResultTable:
         text = self.to_csv() if fmt == "csv" else self.to_json()
         Path(path).write_text(text, encoding="utf-8", newline="")
 
-    @classmethod
-    def from_csv(cls, text: str) -> "ResultTable":
-        parameters: dict[str, str] = {}
-        columns: tuple[str, ...] | None = None
-        rows: list[tuple[str, ...]] = []
-        for raw in text.splitlines():
-            if not raw.strip():
-                continue
-            if raw.startswith("#"):
-                key, _, value = raw[1:].partition("=")
-                parameters[key.strip()] = value.strip()
-                continue
-            cells = tuple(raw.split(","))
-            if columns is None:
-                columns = cells
-            else:
-                rows.append(cells)
-        if columns is None:
-            raise ConfigError("result table has no header row")
-        return cls(columns=columns, rows=rows, parameters=parameters)
-
 
 def _pipeline_cells(values, num_stages: int) -> list[str]:
     cells = [""] * MAX_TABLE_STAGES
@@ -177,7 +156,7 @@ def _sweep_row(design, spacing, model, m, m_interim) -> tuple[str, ...]:
     return tuple(row)
 
 
-def run_sweep(scenario: Scenario, threads: int = 1, nodes: int = DEFAULT_NODES) -> ResultTable:
+def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
     """Evaluate the scenario grid (K x spacing x l x m) into a ResultTable.
 
     Rows come out in deterministic grid order regardless of how many worker
@@ -195,7 +174,7 @@ def run_sweep(scenario: Scenario, threads: int = 1, nodes: int = DEFAULT_NODES) 
 
     def build(key):
         k, spacing = key
-        return _build_cached(scenario.design_spec(k, spacing), nodes)
+        return _build_cached(scenario.design_spec(k, spacing))
 
     if threads > 1 and len(keys) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
@@ -218,7 +197,7 @@ def case_study_tau() -> float:
     return math.sqrt(base / _CASE_N_SINGLE)
 
 
-def _case_design(shape: float, num_stages: int, nodes: int = DEFAULT_NODES) -> GroupSequentialDesign:
+def _case_design(shape: float, num_stages: int) -> GroupSequentialDesign:
     spec = DesignSpec(
         alpha=_CASE_ALPHA,
         beta=_CASE_BETA,
@@ -227,10 +206,10 @@ def _case_design(shape: float, num_stages: int, nodes: int = DEFAULT_NODES) -> G
         family=WangTsiatis(shape),
         futility=FutilityStyle.NONE,
     )
-    return _build_cached(spec, nodes)
+    return _build_cached(spec)
 
 
-def case_study_table(nodes: int = DEFAULT_NODES) -> ResultTable:
+def case_study_table() -> ResultTable:
     """The built-in case study: twelve designs under a six-month delay.
 
     Boundaries are Pocock, O'Brien-Fleming and Wang-Tsiatis(0.25) without a
@@ -240,13 +219,11 @@ def case_study_table(nodes: int = DEFAULT_NODES) -> ResultTable:
     rows = []
     for name, shape in _CASE_FAMILIES:
         for num_stages in (2, 3, 4, 5):
-            design = _case_design(shape, num_stages, nodes)
+            design = _case_design(shape, num_stages)
             model = RecruitmentModel.uniform(_CASE_T_MAX)
             assessment = assess_delay(design, DelayQuery(m=_CASE_M, model=model))
-            stages = round_for_report(design)
-            stage_cells = [""] * MAX_TABLE_STAGES
-            for k in range(num_stages):
-                stage_cells[k] = str(stages[k])
+            stage_cells = [str(n) for n in round_for_report(design)]
+            stage_cells += [""] * (MAX_TABLE_STAGES - num_stages)
             rows.append(
                 (
                     name,
@@ -313,31 +290,17 @@ class TableReport:
 
 def _read_reference(name: str) -> list[dict[str, str]]:
     text = resources.files("gsdelay.reference").joinpath(name).read_text(encoding="utf-8")
-    rows = []
-    header: list[str] | None = None
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        cells = raw.split(",")
-        if header is None:
-            header = cells
-        else:
-            rows.append(dict(zip(header, cells)))
-    return rows
+    return list(csv.DictReader(line for line in text.splitlines() if line.strip() and line[0] != "#"))
 
 
-def _abs_check(table, row_key, column, expected, computed, tol) -> CellCheck:
-    return CellCheck(
-        table, row_key, column, expected, computed, f"abs {tol}", abs(computed - expected) <= tol
-    )
+def _check(table, row_key, column, expected, computed, tol, relative=False) -> CellCheck:
+    bound, label = (tol * abs(expected), f"rel {tol:.0%}") if relative else (tol, f"abs {tol}")
+    return CellCheck(table, row_key, column, expected, computed, label, abs(computed - expected) <= bound)
 
 
-def _rel_check(table, row_key, column, expected, computed, tol) -> CellCheck:
-    ok = abs(computed - expected) <= tol * abs(expected)
-    return CellCheck(table, row_key, column, expected, computed, f"rel {tol:.0%}", ok)
-
-
-def _table_design(num_stages: int, spacing: str, nodes: int) -> GroupSequentialDesign:
+def _table_design(row: dict[str, str]) -> GroupSequentialDesign:
+    """The Wang-Tsiatis(0.25) design behind a row of the delay tables."""
+    num_stages = int(row["K"])
     spec = DesignSpec(
         alpha=0.05,
         beta=0.1,
@@ -345,115 +308,68 @@ def _table_design(num_stages: int, spacing: str, nodes: int) -> GroupSequentialD
         num_stages=num_stages,
         family=WangTsiatis(0.25),
         futility=FutilityStyle.BINDING_ZERO,
-        info_fractions=spacing_for(num_stages, spacing),
+        info_fractions=spacing_for(num_stages, row.get("spacing", "equal")),
     )
-    return _build_cached(spec, nodes)
+    return _build_cached(spec)
 
 
-def _verify_delay_table(
-    name: str, filename: str, model_for_row, nodes: int, design_for_row=None
-) -> TableReport:
-    checks: list[CellCheck] = []
-    for row in _read_reference(filename):
-        K = int(row["K"])
-        m = float(row["m"])
-        spacing = row.get("spacing", "equal")
-        row_key = f"K={K} m={row['m']}" + (f" {spacing}" if spacing != "equal" else "")
-        if "l" in row:
-            row_key += f" l={row['l']}"
-        design = (design_for_row or (lambda r: _table_design(K, spacing, nodes)))(row)
-        model = model_for_row(row)
-        assessment = assess_delay(design, DelayQuery(m=m, model=model))
-        if "n_max" in row:
-            checks.append(_abs_check(name, row_key, "n_max", float(row["n_max"]), design.max_n, 0.3))
-            checks.append(_abs_check(name, row_key, "ess", float(row["ess"]), design.ess, 0.3))
-            checks.append(
-                _abs_check(name, row_key, "ess_delay", float(row["ess_delay"]), assessment.ess_delay, 0.3)
-            )
-            for k in range(K):
-                expected = float(row[f"pipeline_{k + 1}"])
-                checks.append(
-                    _abs_check(
-                        name, row_key, f"pipeline_{k + 1}", expected, assessment.profile.pipeline[k], 0.3
-                    )
-                )
-            checks.append(_abs_check(name, row_key, "el", float(row["el"]), assessment.el, 1.0))
-        else:
-            # efficiency loss only, at a relaxed relative tolerance; rows where
-            # the delayed size saturates at the maximum are exact plateaus and
-            # get the absolute tolerance instead
-            expected = float(row["el"])
-            plateau = abs(float(row["ess_delay"]) - design.max_n) <= 0.1
-            if plateau:
-                checks.append(_abs_check(name, row_key, "el", expected, assessment.el, 1.0))
-            else:
-                checks.append(_rel_check(name, row_key, "el", expected, assessment.el, 0.03))
-    return TableReport(name=name, checks=checks)
+def _case_row_design(row: dict[str, str]) -> GroupSequentialDesign:
+    return _case_design(dict(_CASE_FAMILIES)[row["boundary"]], int(row["K"]))
 
 
-def verify_uniform(nodes: int = DEFAULT_NODES) -> TableReport:
-    return _verify_delay_table(
-        "uniform-recruitment",
-        "uniform_equal.csv",
-        lambda row: RecruitmentModel.uniform(24.0),
-        nodes,
-    )
-
-
-def verify_linear(nodes: int = DEFAULT_NODES) -> TableReport:
-    return _verify_delay_table(
-        "linear-recruitment",
-        "linear_equal.csv",
-        lambda row: RecruitmentModel.linear(24.0),
-        nodes,
-    )
-
-
-def verify_mixed(nodes: int = DEFAULT_NODES) -> TableReport:
-    return _verify_delay_table(
+# (table name, reference file, recruitment model for a row, design for a row),
+# in report order
+_REFERENCE_TABLES = (
+    ("uniform-recruitment", "uniform_equal.csv", lambda row: RecruitmentModel.uniform(24.0), _table_design),
+    ("linear-recruitment", "linear_equal.csv", lambda row: RecruitmentModel.linear(24.0), _table_design),
+    (
         "mixed-recruitment",
         "mixed.csv",
         lambda row: RecruitmentModel.mixed(24.0, float(row["l"])),
-        nodes,
-    )
+        _table_design,
+    ),
+    ("unequal-spacing", "unequal.csv", lambda row: RecruitmentModel.uniform(24.0), _table_design),
+    ("case-study", "case_study.csv", lambda row: RecruitmentModel.uniform(_CASE_T_MAX), _case_row_design),
+)
 
 
-def verify_unequal(nodes: int = DEFAULT_NODES) -> TableReport:
-    return _verify_delay_table(
-        "unequal-spacing",
-        "unequal.csv",
-        lambda row: RecruitmentModel.uniform(24.0),
-        nodes,
-        design_for_row=lambda row: _table_design(int(row["K"]), row["spacing"], nodes),
-    )
+def _row_checks(table: str, row: dict[str, str], design, assessment) -> list[CellCheck]:
+    """Compare the cells one reference row holds; its columns say which, and how."""
+    K = design.num_stages
+    el = assessment.el
+    if "boundary" in row:
+        # the case study: whole-participant stage sizes and the loss
+        key = f"{row['boundary']} K={K}"
+        cells = [(f"n_{k + 1}", float(n), 1.0) for k, n in enumerate(round_for_report(design))]
+        cells.append(("el", el, 1.5))
+    else:
+        spacing = row.get("spacing", "equal")
+        key = f"K={K} m={row['m']}" + (f" {spacing}" if spacing != "equal" else "")
+        key += f" l={row['l']}" if "l" in row else ""
+        if "n_max" in row:
+            cells = [("n_max", design.max_n, 0.3), ("ess", design.ess, 0.3)]
+            cells.append(("ess_delay", assessment.ess_delay, 0.3))
+            cells += [(f"pipeline_{k + 1}", p, 0.3) for k, p in enumerate(assessment.profile.pipeline)]
+            cells.append(("el", el, 1.0))
+        elif abs(float(row["ess_delay"]) - design.max_n) <= 0.1:
+            # efficiency loss only; a row whose delayed size saturates at the
+            # maximum is an exact plateau and gets the absolute tolerance
+            cells = [("el", el, 1.0)]
+        else:
+            # efficiency loss only, at a relaxed relative tolerance
+            return [_check(table, key, "el", float(row["el"]), el, 0.03, relative=True)]
+    return [_check(table, key, column, float(row[column]), value, tol) for column, value, tol in cells]
 
 
-def verify_case_study(nodes: int = DEFAULT_NODES) -> TableReport:
-    checks: list[CellCheck] = []
-    shapes = dict(_CASE_FAMILIES)
-    model = RecruitmentModel.uniform(_CASE_T_MAX)
-    for row in _read_reference("case_study.csv"):
-        K = int(row["K"])
-        name = row["boundary"]
-        row_key = f"{name} K={K}"
-        design = _case_design(shapes[name], K, nodes)
-        stages = round_for_report(design)
-        for k in range(K):
-            expected = float(row[f"n_{k + 1}"])
-            checks.append(
-                _abs_check("case-study", row_key, f"n_{k + 1}", expected, float(stages[k]), 1.0)
-            )
-        assessment = assess_delay(design, DelayQuery(m=_CASE_M, model=model))
-        checks.append(_abs_check("case-study", row_key, "el", float(row["el"]), assessment.el, 1.5))
-    return TableReport(name="case-study", checks=checks)
-
-
-def verify_all(nodes: int = DEFAULT_NODES) -> list[TableReport]:
+def verify_all() -> list[TableReport]:
     """Recompute every bundled reference table and compare cell by cell."""
-    return [
-        verify_uniform(nodes),
-        verify_linear(nodes),
-        verify_mixed(nodes),
-        verify_unequal(nodes),
-        verify_case_study(nodes),
-    ]
+    reports = []
+    for name, filename, model_for_row, design_for_row in _REFERENCE_TABLES:
+        checks: list[CellCheck] = []
+        for row in _read_reference(filename):
+            design = design_for_row(row)
+            # the case-study table has no m column: its one delay is six months
+            query = DelayQuery(m=float(row.get("m", _CASE_M)), model=model_for_row(row))
+            checks += _row_checks(name, row, design, assess_delay(design, query))
+        reports.append(TableReport(name=name, checks=checks))
+    return reports

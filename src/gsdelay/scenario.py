@@ -3,8 +3,9 @@
 A scenario is an INI-like document with [design], [recruitment], [delay] and
 [output] sections holding `key = value` lines. Values may be scalars or
 space/comma-separated lists; fractions like 1/3 are accepted wherever a real
-number is. Unknown sections or keys are rejected, and every value is
-range-checked at parse time; errors carry the offending line number.
+number is. The parser checks syntax, keys and cross-key rules; each value's
+range is checked by the library rule that owns it, whose message is re-raised
+with the line number: ``line 2: alpha = 0.75 must lie in (0, 0.5)``.
 
 Example::
 
@@ -30,14 +31,22 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
-from .boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis, _check_fractions
-from .design import DesignSpec
+from .boundaries import (
+    FutilityStyle,
+    HwangShihDeCani,
+    WangTsiatis,
+    _check_alpha,
+    _check_fractions,
+    _check_stages,
+)
+from .design import DesignSpec, _check_beta, _check_positive
 from .errors import ConfigError, ScenarioError
-from .recruitment import RecruitmentModel
+from .recruitment import RecruitmentModel, _check_delay, _check_ramp_fraction
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "INTERIM_SPACINGS", "spacing_for"]
 
@@ -71,7 +80,7 @@ def spacing_for(num_stages: int, label: str) -> tuple[float, ...]:
         return tuple((k + 1) / num_stages for k in range(num_stages))
     named = INTERIM_SPACINGS.get(num_stages, {})
     if label not in named:
-        raise ScenarioError(f"no spacing named {label!r} for {num_stages} stages")
+        raise ScenarioError(f"no spacing named {label!r} for k = {num_stages}")
     return named[label]
 
 
@@ -154,12 +163,9 @@ class Scenario:
         return echo
 
 
-class _Entry:
-    __slots__ = ("value", "line")
-
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
+class _Entry(NamedTuple):
+    value: str
+    line: int
 
 
 def _tokenize(raw: str) -> list[str]:
@@ -215,17 +221,19 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"{source}: missing required key {key!r} in [design]")
         return section[key]
 
-    def real_in(entry: _Entry, key: str, lo: float, hi: float, *, open_ends=(True, True)) -> float:
-        x = _real(entry.value, entry.line, key)
-        lo_ok = x > lo if open_ends[0] else x >= lo
-        hi_ok = x < hi if open_ends[1] else x <= hi
-        if not (lo_ok and hi_ok):
-            raise ScenarioError(f"{key} = {entry.value} out of range", entry.line)
-        return x
+    def checked(entry: _Entry, rule, *args):
+        """Apply a library rule, re-raising its ConfigError with the entry's line."""
+        try:
+            return rule(*args)
+        except ConfigError as exc:
+            raise ScenarioError(str(exc), entry.line) from None
 
-    alpha = real_in(need(design, "alpha"), "alpha", 0.0, 0.5)
-    beta = real_in(need(design, "beta"), "beta", 0.0, 1.0)
-    tau = real_in(need(design, "tau"), "tau", 0.0, float("inf"))
+    def real(entry: _Entry, key: str, rule, *names) -> float:
+        return checked(entry, rule, *names, _real(entry.value, entry.line, key))
+
+    alpha = real(need(design, "alpha"), "alpha", _check_alpha)
+    beta = real(need(design, "beta"), "beta", _check_beta)
+    tau = real(need(design, "tau"), "tau", _check_positive, "tau")
     mu = None
     if "mu" in design:
         e = design["mu"]
@@ -238,9 +246,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             k = int(token)
         except ValueError:
             raise ScenarioError(f"k: {token!r} is not an integer", e.line) from None
-        if k < 1:
-            raise ScenarioError(f"k = {k} must be at least 1", e.line)
-        stages.append(k)
+        stages.append(checked(e, _check_stages, k))
     if not stages:
         raise ScenarioError("k: at least one stage count is required", e.line)
 
@@ -250,10 +256,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         values = tuple(_real(t, e.line, "rho") for t in _tokenize(e.value))
         if len(stages) != 1:
             raise ScenarioError("rho cannot be combined with a list of stage counts", e.line)
-        if len(values) != stages[0]:
-            raise ScenarioError(f"rho needs {stages[0]} entries, got {len(values)}", e.line)
         try:
-            _check_fractions(values)
+            _check_fractions(values, stages[0])
         except ConfigError as exc:
             raise ScenarioError(f"rho: {exc}", e.line) from None
         rho = values
@@ -268,10 +272,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError("spacing: at least one label is required", e.line)
         for label in labels:
             for k in stages:
-                try:
-                    spacing_for(k, label)
-                except ScenarioError:
-                    raise ScenarioError(f"no spacing named {label!r} for k = {k}", e.line) from None
+                checked(e, spacing_for, k, label)
         spacings = labels
 
     e = need(design, "family")
@@ -286,16 +287,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         e = design["delta"]
         if family != "wang-tsiatis":
             raise ScenarioError("delta only applies to the wang-tsiatis family", e.line)
-        shape = _real(e.value, e.line, "delta")
+        shape = real(e, "delta", WangTsiatis).shape
     if "gamma" in design:
         e = design["gamma"]
         if family != "hsd":
             raise ScenarioError("gamma only applies to the hsd family", e.line)
-        gamma = _real(e.value, e.line, "gamma")
-        try:
-            HwangShihDeCani(gamma)
-        except ConfigError as exc:
-            raise ScenarioError(str(exc), e.line) from None
+        gamma = real(e, "gamma", HwangShihDeCani).gamma
     if family == "hsd" and gamma is None:
         raise ScenarioError(f"{source}: the hsd family requires a gamma value")
 
@@ -310,7 +307,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     allocation = 1.0
     if "allocation" in design:
-        allocation = real_in(design["allocation"], "allocation", 0.0, float("inf"))
+        allocation = real(design["allocation"], "allocation", _check_positive, "allocation")
 
     pattern = t_max = None
     ramp_fractions: tuple[float, ...] = ()
@@ -324,17 +321,16 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"pattern must be uniform, mixed or linear, got {e.value!r}", e.line)
         if "t_max" not in rec:
             raise ScenarioError(f"{source}: [recruitment] requires t_max")
-        t_max = real_in(rec["t_max"], "t_max", 0.0, float("inf"))
+        t_max = real(rec["t_max"], "t_max", _check_positive, "t_max")
         if pattern == "mixed":
             if "l" not in rec:
                 raise ScenarioError(f"{source}: mixed recruitment requires l")
             e = rec["l"]
-            ramp_fractions = tuple(_real(t, e.line, "l") for t in _tokenize(e.value))
+            ramp_fractions = tuple(
+                checked(e, _check_ramp_fraction, _real(t, e.line, "l")) for t in _tokenize(e.value)
+            )
             if not ramp_fractions:
                 raise ScenarioError("l: at least one value is required", e.line)
-            for l in ramp_fractions:
-                if not 0.0 < l <= 1.0:
-                    raise ScenarioError(f"l = {l} out of range (0, 1]", e.line)
         elif pattern == "linear":
             if "l" in rec:
                 raise ScenarioError("l is implied by the linear pattern", rec["l"].line)
@@ -347,14 +343,13 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         dly = sections["delay"]
         if "m" in dly:
             e = dly["m"]
-            delays = tuple(_real(t, e.line, "m") for t in _tokenize(e.value))
+            delays = tuple(
+                checked(e, _check_delay, "m", _real(t, e.line, "m")) for t in _tokenize(e.value)
+            )
             if not delays:
                 raise ScenarioError("m: at least one delay length is required", e.line)
-            for m in delays:
-                if not 0.0 <= m < float("inf"):
-                    raise ScenarioError(f"m = {m} must be finite and non-negative", e.line)
         if "m_interim" in dly:
-            m_interim = real_in(dly["m_interim"], "m_interim", 0.0, float("inf"), open_ends=(False, True))
+            m_interim = real(dly["m_interim"], "m_interim", _check_delay, "m_interim")
 
     out_format = out_path = None
     if "output" in sections:

@@ -29,7 +29,6 @@ from .errors import ConfigError
 __all__ = [
     "SequentialProblem",
     "ExitProbabilities",
-    "normal_cdf",
     "normal_quantile",
     "exit_probabilities",
     "DEFAULT_NODES",
@@ -44,11 +43,6 @@ _TAIL_WIDTH = 8.0
 # The smallest and largest doubles strictly inside (0, 1).
 _SMALLEST_P = math.ulp(0.0)
 _LARGEST_P = 1.0 - 2.0**-53
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF, absolute error below 1e-12 (saturates in the tails)."""
-    return float(ndtr(x))
 
 
 def normal_quantile(p: float) -> float:
@@ -127,10 +121,6 @@ class ExitProbabilities:
     @property
     def stop_per_stage(self) -> tuple[float, ...]:
         return tuple(a + r for a, r in zip(self.accept_per_stage, self.reject_per_stage))
-
-    @property
-    def total_accept(self) -> float:
-        return sum(self.accept_per_stage)
 
     @property
     def total_reject(self) -> float:

@@ -11,7 +11,7 @@ def table_design():
     """
 
     def build(num_stages: int, spacing: str = "equal"):
-        return _table_design(num_stages, spacing, 301)
+        return _table_design({"K": num_stages, "spacing": spacing})
 
     return build
 

@@ -14,15 +14,7 @@ from gsdelay.boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis
 from gsdelay.delay import DelayQuery, assess_delay
 from gsdelay.design import DesignSpec, build_design, round_for_report, single_stage_n
 from gsdelay.recruitment import RecruitmentModel, pipeline_counts
-from gsdelay.reports import (
-    _build_cached,
-    case_study_tau,
-    verify_case_study,
-    verify_linear,
-    verify_mixed,
-    verify_unequal,
-    verify_uniform,
-)
+from gsdelay.reports import _build_cached, case_study_tau, verify_all
 from gsdelay.simulate import SimConfig, simulate
 
 SEED = 20240814
@@ -43,32 +35,38 @@ def check_failures(table_report):
     ]
 
 
-def test_criterion_01_uniform_recruitment_table():
-    # cold-cache timing: the whole grid must reproduce in under ten seconds
+@pytest.fixture(scope="module")
+def reference_tables():
+    """Every reference table's report by name, computed once from a cold design cache, and the time taken."""
     _build_cached.cache_clear()
     start = time.perf_counter()
-    table_report = verify_uniform()
-    elapsed = time.perf_counter() - start
-    failures = check_failures(table_report)
+    reports = {r.name: r for r in verify_all()}
+    return reports, time.perf_counter() - start
+
+
+def test_criterion_01_uniform_recruitment_table(reference_tables):
+    # cold-cache timing: every reference table must reproduce in under ten seconds
+    reports, elapsed = reference_tables
+    failures = check_failures(reports["uniform-recruitment"])
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.1f}s exceeds 10s")
     report(1, f"uniform recruitment, {elapsed:.1f}s", failures)
 
 
-def test_criterion_02_linear_recruitment_table():
-    report(2, "linear recruitment", check_failures(verify_linear()))
+def test_criterion_02_linear_recruitment_table(reference_tables):
+    report(2, "linear recruitment", check_failures(reference_tables[0]["linear-recruitment"]))
 
 
-def test_criterion_03_mixed_recruitment_tables():
-    report(3, "mixed recruitment", check_failures(verify_mixed()))
+def test_criterion_03_mixed_recruitment_tables(reference_tables):
+    report(3, "mixed recruitment", check_failures(reference_tables[0]["mixed-recruitment"]))
 
 
-def test_criterion_04_unequal_spacing_tables():
-    report(4, "unequal spacing", check_failures(verify_unequal()))
+def test_criterion_04_unequal_spacing_tables(reference_tables):
+    report(4, "unequal spacing", check_failures(reference_tables[0]["unequal-spacing"]))
 
 
-def test_criterion_05_case_study():
-    failures = check_failures(verify_case_study())
+def test_criterion_05_case_study(reference_tables):
+    failures = check_failures(reference_tables[0]["case-study"])
     tau = case_study_tau()
     if abs(tau - 0.400) > 0.001:
         failures.append(f"calibrated effect {tau:.4f} not within 0.001 of 0.400")

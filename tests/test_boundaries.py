@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from gsdelay import boundaries, design
 from gsdelay.boundaries import (
@@ -17,7 +18,7 @@ from gsdelay.boundaries import (
     wt_boundaries,
 )
 from gsdelay.errors import ConfigError, SolveError
-from gsdelay.sequential import SequentialProblem, exit_probabilities, normal_cdf, normal_quantile
+from gsdelay.sequential import SequentialProblem, exit_probabilities, normal_quantile
 
 EQUAL_3 = (1 / 3, 2 / 3, 1.0)
 
@@ -76,6 +77,19 @@ class TestWangTsiatis:
             wt_boundaries(2, (0.5, 0.9), 0.25, 0.05)
 
 
+@pytest.mark.parametrize("solve", [wt_boundaries, spending_boundaries])
+class TestSolverRangeRules:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, 0.5])
+    def test_alpha(self, solve, alpha):
+        with pytest.raises(ConfigError, match="^alpha = "):
+            solve(3, EQUAL_3, 0.25, alpha)
+
+    @pytest.mark.parametrize("K", [0, 2, 3.0])
+    def test_stage_count_and_fractions_agree(self, solve, K):
+        with pytest.raises(ConfigError, match="stage count|expected"):
+            solve(K, EQUAL_3, 0.25, 0.05)
+
+
 class TestHsdSpend:
     def test_endpoints(self):
         assert hsd_spend(0.0, -2.0, 0.05) == 0.0
@@ -124,8 +138,8 @@ class TestSpendingBoundaries:
     def test_symmetric_mirror_under_zero_drift(self):
         bounds = spending_boundaries(3, (0.6, 0.9, 1.0), -2.0, 0.05, FutilityStyle.SYMMETRIC)
         assert bounds.futility[0] == -bounds.efficacy[0]
-        below = normal_cdf(bounds.futility[0])
-        above = 1.0 - normal_cdf(bounds.efficacy[0])
+        below = ndtr(bounds.futility[0])
+        above = 1.0 - ndtr(bounds.efficacy[0])
         assert below == pytest.approx(above, abs=1e-12)
 
     def test_dispatch(self):

@@ -182,6 +182,12 @@ class TestBadInputsExitCleanly:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_infinite_delta_names_its_line(scenario_file, capsys):
+    path = scenario_file(DESIGN_SCENARIO.replace("delta = 0.25", "delta = inf"))
+    assert main(["design", "--scenario", path]) == 2
+    assert capsys.readouterr().err == "error: line 7: Wang-Tsiatis shape must be finite\n"
+
+
 # Scenario values: a typical draw, or one of these edge tokens.
 EDGE_TOKENS = ("0", "-1", "5e-324", "1e-300", "1e300", "inf", "nan", "-1000", "1/0", "x")
 

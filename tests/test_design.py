@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,36 @@ class TestBuildDesign:
             wt_spec(2, **kwargs)
 
 
+NON_FINITE_OR_ZERO = [math.nan, math.inf, -math.inf, 0.0]
+SIZING_FIELDS = ["alpha", "beta", "tau", "sigma0_sq", "sigma1_sq", "allocation"]
+
+
+class TestRangeRules:
+    """Each input is checked once, at construction, by a rule that names the field."""
+
+    @pytest.mark.parametrize("value", NON_FINITE_OR_ZERO)
+    @pytest.mark.parametrize("field", SIZING_FIELDS)
+    def test_design_spec_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} = "):
+            wt_spec(3, **{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE_OR_ZERO)
+    @pytest.mark.parametrize("field", SIZING_FIELDS)
+    def test_single_stage_n_names_the_field(self, field, value):
+        args = dict(alpha=0.05, beta=0.1, tau=0.5, sigma0_sq=1.0, sigma1_sq=1.0, allocation=1.0)
+        with pytest.raises(ConfigError, match=f"^{field} = "):
+            single_stage_n(**{**args, field: value})
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf, 0, 3.0])
+    def test_stage_count_must_be_an_integer(self, K):
+        with pytest.raises(ConfigError, match="stage count K"):
+            wt_spec(K)
+
+    def test_wrong_fraction_count(self):
+        with pytest.raises(ConfigError, match="expected 3 information fractions, got 2"):
+            wt_spec(3, info_fractions=(0.5, 1.0))
+
+
 class TestEfficiencyGain:
     def test_single_stage_gain_is_zero(self):
         design = build_design(wt_spec(1))
@@ -152,13 +184,6 @@ class TestRoundForReport:
 
     def test_monotone(self):
         assert round_for_report(fake_design((9.9, 10.05, 10.1))) == (10, 11, 11)
-
-    def test_granularity(self):
-        assert round_for_report(fake_design((73.14, 146.28, 219.42)), granularity=10) == (80, 150, 220)
-
-    def test_rejects_bad_granularity(self):
-        with pytest.raises(ConfigError):
-            round_for_report(fake_design((10.0,)), granularity=0)
 
     def test_intro_example(self):
         spec = DesignSpec(

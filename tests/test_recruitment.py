@@ -44,6 +44,28 @@ class TestSolveDelta:
             solve_delta(100.0, 24.0, 0.0)
 
 
+class TestRangeRules:
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, 0.0])
+    def test_t_max(self, t_max):
+        for build in (RecruitmentModel.uniform, RecruitmentModel.linear):
+            with pytest.raises(ConfigError, match="^t_max = "):
+                build(t_max)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf, 0.0])
+    def test_ramp_fraction(self, l):
+        with pytest.raises(ConfigError, match="ramp fraction l = "):
+            RecruitmentModel.mixed(24.0, l)
+        with pytest.raises(ConfigError, match="ramp fraction l = "):
+            solve_delta(100.0, 24.0, l)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_solve_delta_sizes(self, value):
+        with pytest.raises(ConfigError, match="^n_max = "):
+            solve_delta(value, 24.0, 0.5)
+        with pytest.raises(ConfigError, match="^t_max = "):
+            solve_delta(100.0, value, 0.5)
+
+
 class TestRecruitTime:
     def test_zero(self):
         for model in (RecruitmentModel.uniform(24.0), RecruitmentModel.linear(24.0)):

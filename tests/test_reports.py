@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from gsdelay.reports import (
     case_study_table,
     case_study_tau,
     run_sweep,
-    verify_uniform,
+    verify_all,
 )
 from gsdelay.errors import ScenarioError
 from gsdelay.scenario import parse_scenario
@@ -104,7 +105,11 @@ class TestRoundTrip:
         path = tmp_path / "out.csv"
         small_table.write(path)
         text = path.read_text(encoding="utf-8")
-        rebuilt = ResultTable.from_csv(text)
+        assert text == small_table.to_csv()
+        comments = [line for line in text.splitlines() if line.startswith("# ")]
+        parameters = dict(line[2:].split(" = ", 1) for line in comments)
+        header, *rows = csv.reader(text.splitlines()[len(comments):])
+        rebuilt = ResultTable(columns=tuple(header), rows=[tuple(r) for r in rows], parameters=parameters)
         assert rebuilt.to_csv() == text
         assert rebuilt.rows == small_table.rows
         assert rebuilt.parameters == small_table.parameters
@@ -145,15 +150,20 @@ class TestCaseStudy:
         assert float(row["el"]) == pytest.approx(110.00, abs=1.5)
 
 
+@pytest.fixture(scope="module")
+def uniform_report():
+    return next(r for r in verify_all() if r.name == "uniform-recruitment")
+
+
 class TestVerify:
-    def test_uniform_reference_table_passes(self):
-        report = verify_uniform()
+    def test_uniform_reference_table_passes(self, uniform_report):
+        report = uniform_report
         assert report.ok, [f"{c.row} {c.column}" for c in report.failures]
         assert len(report.checks) == 180
         assert "180/180" in report.summary()
 
-    def test_summary_reports_the_largest_relative_deviation(self):
-        report = verify_uniform()
+    def test_summary_reports_the_largest_relative_deviation(self, uniform_report):
+        report = uniform_report
         largest = max(abs(c.computed - c.expected) / abs(c.expected) for c in report.checks if c.expected)
         assert 0.0 < largest < 0.03
         assert report.summary().endswith(f"[ok], max dev {largest:.2%}")

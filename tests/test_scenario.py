@@ -161,6 +161,46 @@ class TestErrors:
             parse_scenario("alpha = 0.05\n")
 
 
+# Every ranged key on its own line: the line number is the list index + 1.
+RANGED = [
+    "[design]", "alpha = 0.05", "beta = 0.1", "tau = 0.5", "k = 3", "family = wt", "delta = 0.25",
+    "allocation = 1", "[recruitment]", "pattern = mixed", "t_max = 24", "l = 0.5", "[delay]",
+    "m = 3", "m_interim = 0",
+]
+
+
+class TestLibraryRulesWithLineNumbers:
+    """The parser applies the library's range rules and adds the line number."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize(
+        "key", ["alpha", "beta", "tau", "k", "allocation", "t_max", "l", "m", "m_interim"]
+    )
+    def test_non_finite_or_zero(self, key, token):
+        line = next(i for i, text in enumerate(RANGED, start=1) if text.startswith(f"{key} ="))
+        lines = list(RANGED)
+        lines[line - 1] = f"{key} = {token}"
+        text = "\n".join(lines) + "\n"
+        if token == "0" and key in ("m", "m_interim"):
+            # a zero delay or overhead is valid
+            sc = parse_scenario(text)
+            assert (sc.delays, sc.m_interim) == ((0.0,) if key == "m" else (3.0,), 0.0)
+            return
+        with pytest.raises(ScenarioError, match=rf"(?i)^line {line}: .*\b{key}\b"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_delta_carries_line_number(self, token):
+        text = "\n".join(RANGED).replace("delta = 0.25", f"delta = {token}")
+        with pytest.raises(ScenarioError, match="^line 7: Wang-Tsiatis shape must be finite"):
+            parse_scenario(text)
+
+    def test_wrong_rho_count_carries_line_number(self):
+        text = "[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk = 3\nrho = 0.5 1\nfamily = wt\n"
+        with pytest.raises(ScenarioError, match="line 6: rho: expected 3 information fractions, got 2"):
+            parse_scenario(text)
+
+
 class TestSpacings:
     def test_equal_for_any_count(self):
         assert spacing_for(4, "equal") == (0.25, 0.5, 0.75, 1.0)

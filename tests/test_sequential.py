@@ -12,7 +12,6 @@ from gsdelay.sequential import (
     _clipped_probit,
     SequentialProblem,
     exit_probabilities,
-    normal_cdf,
     normal_quantile,
 )
 
@@ -31,18 +30,19 @@ NORMAL_CDF_ORACLE = [
 ]
 
 
+# the engine's tail probabilities come from scipy's ndtr; pin it to the oracle
 class TestNormalCdf:
     @pytest.mark.parametrize("x,expected", NORMAL_CDF_ORACLE)
     def test_oracle_values(self, x, expected):
-        assert normal_cdf(x) == pytest.approx(expected, abs=1e-12)
+        assert ndtr(x) == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_identity(self):
         for x in np.linspace(-6, 6, 61):
-            assert normal_cdf(-x) == pytest.approx(1.0 - normal_cdf(x), abs=1e-12)
+            assert ndtr(-x) == pytest.approx(1.0 - ndtr(x), abs=1e-12)
 
     def test_tail_saturation(self):
-        assert normal_cdf(-60.0) == 0.0
-        assert normal_cdf(60.0) == 1.0
+        assert ndtr(-60.0) == 0.0
+        assert ndtr(60.0) == 1.0
 
 
 class TestNormalQuantile:
@@ -55,7 +55,7 @@ class TestNormalQuantile:
 
     def test_round_trip(self):
         for p in np.linspace(0.001, 0.999, 97):
-            assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-10)
+            assert ndtr(normal_quantile(p)) == pytest.approx(p, abs=1e-10)
 
     def test_monotone(self):
         grid = [normal_quantile(p) for p in np.linspace(0.01, 0.99, 50)]
