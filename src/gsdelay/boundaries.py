@@ -12,9 +12,11 @@ Two families are supported:
   solved stage by stage so the cumulative rejection probability at analysis k
   equals the spent error at information fraction rho_k. Once e_1..e_{k-1}
   are solved the continuing density before stage k is fixed, so each trial
-  e_k costs one O(nodes) integral against it (Armitage, McPherson & Rowe
-  1969; Jennison & Turnbull 2000, ch. 19) and the whole solve costs about
-  one density recursion.
+  e_k costs one O(n) integral against it over the stage's score-lattice
+  nodes (Armitage, McPherson & Rowe 1969; Jennison & Turnbull 2000, ch. 19)
+  and the whole solve costs about one density recursion. The lattice step
+  comes from the full schedule's smallest increment, so every stage of the
+  solve sees the grid that ``exit_probabilities`` uses for the whole test.
 
 Futility handling is one of: a binding bound at zero before the last stage,
 a mirrored (symmetric) bound f_k = -e_k, or no early acceptance at all.
@@ -63,6 +65,9 @@ _SPEND_BRACKET = (-4.0, 12.0)
 
 # Largest x with a finite exp(x).
 _MAX_EXP_ARG = math.log(sys.float_info.max)
+
+# Below this |gamma| the spend schedule is linear to double precision.
+_LINEAR_GAMMA = 1e-150
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,8 @@ def wt_boundaries(
         shape: power-family shape parameter.
         alpha: one-sided type I error, in (0, 0.5).
         futility: futility style applied while solving (binding).
-        nodes: quadrature nodes per stage.
+        nodes: lattice points across 16 standard deviations of the smallest
+            information increment (see ``sequential``).
     """
     rho = _check_fractions(rho, K)
     _check_alpha(alpha)
@@ -194,6 +200,9 @@ def wt_boundaries(
         if tight[0] < tight[1] and level_gap(tight[0]) <= 0.0 <= level_gap(tight[1]):
             lo, hi = tight
         c = brentq(level_gap, lo, hi, xtol=1e-12)
+    except ConfigError:
+        # a problem the recursion refuses, not a missed bracket
+        raise
     except ValueError as exc:
         raise ConfigError(
             f"no Wang-Tsiatis constant in [{lo}, {hi}] attains alpha={alpha}"
@@ -213,11 +222,11 @@ def hsd_spend(t: float, gamma: float, alpha: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ConfigError("information fraction must lie in [0, 1]")
-    scale = 1.0 - math.exp(-gamma)
-    if scale == 0.0:
-        # gamma is 0, or too close to 0 for exp to tell: the linear limit
+    if abs(gamma) < _LINEAR_GAMMA:
+        # the ratio is t * (1 + O(gamma)): the linear limit, exact in doubles
         return alpha * t
-    return alpha * (1.0 - math.exp(-gamma * t)) / scale
+    # expm1 keeps full precision when gamma * t is small
+    return alpha * math.expm1(-gamma * t) / math.expm1(-gamma)
 
 
 def spending_boundaries(
@@ -262,9 +271,14 @@ def spending_boundaries(
         solved.append(e_k)
         crossed.append(stepper.above(e_k))
         if k < K - 1:
-            # an empty continuation interval leaves no density, so the next
-            # stage is not bracketed
-            stepper.advance(e_k, _futility_bound(e_k, futility))
+            f_k = _futility_bound(e_k, futility)
+            if not e_k > f_k:
+                # no trial would continue, so no later stage could spend its share
+                raise SolveError(
+                    f"stage {k + 1}: e_{k + 1} = {e_k:.6g} below its futility bound "
+                    f"f_{k + 1} = {f_k:.6g}; the spend schedule leaves no continuation"
+                )
+            stepper.advance(e_k, f_k)
 
     e = np.asarray(solved)
     return BoundarySet(tuple(e), tuple(_apply_futility(e, futility)), sum(crossed))

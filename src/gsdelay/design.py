@@ -68,6 +68,13 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_finite(name: str, value: float) -> float:
+    """An effect of either sign: finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} = {value} must be finite")
+    return value
+
+
 def _check_sizing(alpha, beta, tau, sigma0_sq, sigma1_sq, allocation) -> None:
     """The range rules on every input of the single-stage size."""
     _check_alpha(alpha)
@@ -113,6 +120,8 @@ class DesignSpec:
             self.alpha, self.beta, self.tau, self.sigma0_sq, self.sigma1_sq, self.allocation
         )
         _check_stages(self.num_stages)
+        if self.mu_eval is not None:
+            _check_finite("mu_eval", self.mu_eval)
         if not self.tau * self.tau * self.information_for_total(1.0) > _MIN_NONCENTRALITY:
             raise ConfigError("tau is too small for the variances and allocation: sizes overflow")
         if self.info_fractions is not None:

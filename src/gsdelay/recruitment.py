@@ -109,6 +109,9 @@ def solve_delta(n_max: float, t_max: float, ramp_fraction: float) -> float:
             f"ramp phase shorter than one month (l*t_max = {ramp_end:.3g})", stacklevel=2
         )
     total = 0.5 * ramp_end * (ramp_end + 1.0) + ramp_end * (1.0 - ramp_fraction) * t_max
+    if not total > 0.0:
+        # a subnormal t_max underflows the period's capacity to zero
+        raise ConfigError(f"t_max = {t_max} is too short: the recruitment capacity underflows")
     return n_max / total
 
 

@@ -44,7 +44,7 @@ from .boundaries import (
     _check_fractions,
     _check_stages,
 )
-from .design import DesignSpec, _check_beta, _check_positive
+from .design import DesignSpec, _check_beta, _check_finite, _check_positive
 from .errors import ConfigError, ScenarioError
 from .recruitment import RecruitmentModel, _check_delay, _check_ramp_fraction
 
@@ -236,8 +236,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     tau = real(need(design, "tau"), "tau", _check_positive, "tau")
     mu = None
     if "mu" in design:
-        e = design["mu"]
-        mu = _real(e.value, e.line, "mu")
+        mu = real(design["mu"], "mu", _check_finite, "mu")
 
     e = need(design, "k")
     stages = []

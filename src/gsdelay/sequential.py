@@ -3,17 +3,30 @@
 The z-statistics of a two-arm group-sequential test follow the canonical
 joint distribution: Z_k ~ N(theta * sqrt(I_k), 1) with
 Cov(Z_j, Z_k) = sqrt(I_j / I_k) for j <= k, where I_k is the Fisher
-information at analysis k. Exit probabilities are computed by propagating
-the joint sub-density of the continuing trial across each continuation
-interval [f_k, e_k] on a Simpson quadrature grid (a density recursion),
-which is exact up to quadrature error and costs O(K * nodes^2).
+information at analysis k. On the score scale S_k = Z_k * sqrt(I_k) the
+increments S_k - S_{k-1} are independent N(theta * dI_k, dI_k). Exit
+probabilities are computed by propagating the joint sub-density of the
+continuing trial across each continuation interval by quadrature (a density
+recursion), which is exact up to quadrature error.
 
-The recursion is one stage stepper. It holds the continuing sub-density,
+Every stage's nodes lie on one score-scale lattice with the common step
+h = c * sqrt(min_k dI_k), dI_1 = I_1 and c = 16 / (nodes - 1): ``nodes``
+counts the lattice points across 16 standard deviations of the smallest
+increment, whose width sets the accuracy (Jennison & Turnbull 2000, ch. 19
+tie the grid to the normal scale of the increment). Stage k's nodes are
+L_k + i * h from the lower end L_k of its continuation interval, weighted by
+the trapezoid rule with Gregory end corrections (error O(h^8)); the remainder
+at the top, shorter than h, is one 4-point Gauss-Legendre panel of
+off-lattice nodes. Between two lattices the Gaussian kernel depends only on
+i - j, so one advance costs one vector of n_prev + n_new - 1 exponentials and
+one 1-D convolution (by FFT on large lattices), plus O(n) direct kernel
+values for the off-lattice nodes.
+
+The recursion is one stage stepper. It holds the continuing sub-density and
 gives the probability of crossing any critical value at the next analysis in
-O(nodes), and advances one analysis with a Gaussian kernel built in place in
-a single nodes x nodes buffer. ``exit_probabilities`` is a loop over it, and
-the error-spending solve steps it once per stage, so a whole set of
-Hwang-Shih-DeCani boundaries costs about one recursion.
+O(n). ``exit_probabilities`` is a loop over it, and the error-spending solve
+steps it once per stage, so a whole set of Hwang-Shih-DeCani boundaries
+costs about one recursion.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError
@@ -34,11 +48,31 @@ __all__ = [
     "DEFAULT_NODES",
 ]
 
-DEFAULT_NODES = 301
+DEFAULT_NODES = 459
 
 # Grid support: the continuing density at stage k is bounded by the marginal
 # N(theta*sqrt(I_k), 1) density, so mass outside mean +/- 8 is < 1e-15.
 _TAIL_WIDTH = 8.0
+
+# Lattice points a stage may need before the recursion refuses the problem.
+_MAX_LATTICE = 200_000
+
+# Above this many kernel products a stage convolves by FFT.
+_FFT_PRODUCTS = 4_000_000
+
+# End weights, in units of h, of the trapezoid rule corrected by Gregory's
+# formula through sixth differences: it integrates polynomials of degree 7
+# exactly, from 7 nodes up, so its error is O(h^8). The weights are positive.
+_GREGORY_END = np.array([36799, 176648, 54851, 177984, 89437, 130936, 119585]) / 120960.0
+
+# 4-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1];
+# the rule is exact to degree 7.
+_GL_NODES = 0.5 + 0.5 * np.array(
+    [-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]
+)
+_GL_WEIGHTS = 0.5 * np.array(
+    [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
+)
 
 # The smallest and largest doubles strictly inside (0, 1).
 _SMALLEST_P = math.ulp(0.0)
@@ -86,14 +120,15 @@ class SequentialProblem:
             raise ConfigError("at least one stage is required")
         if len(self.efficacy) != K or len(self.futility) != K:
             raise ConfigError("efficacy/futility boundaries must have one value per stage")
-        if any(i <= 0 for i in info):
-            raise ConfigError("information levels must be positive")
-        if any(b >= a for a, b in zip(info[1:], info[:-1])):
+        # negated comparisons so that NaN fails them
+        if not all(0.0 < i < math.inf for i in info):
+            raise ConfigError("information levels must be positive and finite")
+        if not all(b > a for a, b in zip(info, info[1:])):
             raise ConfigError("information levels must be strictly increasing")
         if not math.isfinite(self.drift):
             raise ConfigError("drift must be finite")
         for k in range(K - 1):
-            if self.futility[k] >= self.efficacy[k]:
+            if not self.futility[k] < self.efficacy[k]:
                 raise ConfigError(
                     f"empty continuation interval at stage {k + 1}: "
                     f"f={self.futility[k]} >= e={self.efficacy[k]}"
@@ -127,59 +162,75 @@ class ExitProbabilities:
         return sum(self.reject_per_stage)
 
 
-def _simpson_grid(lo: float, hi: float, nodes: int):
-    """Nodes and composite-Simpson weights on [lo, hi] (odd node count)."""
-    n = nodes if nodes % 2 == 1 else nodes + 1
-    z = np.linspace(lo, hi, n)
-    h = (hi - lo) / (n - 1)
-    w = np.full(n, h / 3.0)
-    w[1:-1:2] *= 4.0
-    w[2:-1:2] *= 2.0
-    return z, w
-
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _gauss(u: np.ndarray) -> np.ndarray:
+    """exp(-u^2 / 2), the unscaled standard normal density."""
+    return np.exp(-0.5 * u * u)
+
+
+def _convolve_valid(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.convolve(a, q, "valid") for len(q) >= len(a), by FFT when that is cheaper."""
+    if a.size * (q.size - a.size + 1) <= _FFT_PRODUCTS:
+        return np.convolve(a, q, mode="valid")
+    n = next_fast_len(a.size + q.size - 1, real=True)
+    return irfft(rfft(a, n) * rfft(q, n), n)[a.size - 1 : q.size]
 
 
 class _StageStepper:
     """The continuing sub-density of a sequential z-test, one analysis at a time.
 
-    At stage k (0-based) it holds the Simpson-weighted sub-density of
-    (still running, Z_{k-1} = z) on the stage-(k-1) continuation grid, so the
-    probability of reaching stage k with Z_k above or below any critical value
-    costs one O(nodes) integral of a normal CDF; ``advance`` moves the density
-    past stage k for one O(nodes^2) kernel product. Stage 0 needs no density:
-    Z_1 is N(theta * sqrt(I_1), 1).
+    At stage k (0-based) it holds the quadrature-weighted sub-density of
+    (still running, S_{k-1} = s) on the stage-(k-1) nodes of the score
+    lattice, so the probability of reaching stage k with Z_k above or below
+    any critical value costs one O(n) integral of a normal CDF; ``advance``
+    moves the density past stage k for one lattice convolution. Stage 0
+    needs no density: Z_1 is N(theta * sqrt(I_1), 1).
+
+    Raises:
+        ConfigError: if nodes is below 2, or if the smallest information
+            increment is so small that a stage would need more than 200,000
+            lattice points.
     """
 
     def __init__(self, info: np.ndarray, theta: float, nodes: int):
         self._info = info
         self._theta = theta
-        self._nodes = nodes
+        if not nodes >= 2:
+            raise ConfigError(f"nodes = {nodes} must be at least 2")
+        smallest = float(np.diff(info).min(initial=info[0]))
+        self._h = 16.0 / (nodes - 1) * math.sqrt(smallest)
+        if len(info) > 1:
+            # the widest continuation interval: mean +/- 8 at the last interim
+            widest = 2.0 * _TAIL_WIDTH * math.sqrt(info[-2]) / self._h
+            if not widest <= _MAX_LATTICE:
+                raise ConfigError(
+                    f"the smallest information increment, {smallest / info[-1]:.3g} of the "
+                    f"final information, needs {widest:.3g} lattice points per stage, "
+                    f"above the limit of {_MAX_LATTICE}"
+                )
         self._mean = theta * math.sqrt(info[0])
         self._stage = 0
-        self._wg = None  # weights * density; None at stage 0 and once no mass continues
-        self._kernel = None  # one nodes x nodes buffer, reused by every advance
-
-    def _standardised(self, c: float) -> np.ndarray:
-        # the increment Z_k sqrt(I_k) - Z_{k-1} sqrt(I_{k-1}) is N(theta dI, dI)
-        return (c * self._sqrt_i - self._cond_mean) / self._sd
+        # weights * density on the lattice nodes, then on the off-lattice ones;
+        # None at stage 0 and once no mass continues
+        self._wg = None
 
     def above(self, c: float) -> float:
         """P(reach this stage and Z_k > c)."""
         if self._stage == 0:
-            return 1.0 - ndtr(c - self._mean)
+            return float(ndtr(self._mean - c))
         if self._wg is None:
             return 0.0
-        return float(np.dot(self._wg, 1.0 - ndtr(self._standardised(c))))
+        return float(np.dot(self._wg, ndtr((self._cond_mean - c * self._sqrt_i) / self._sd)))
 
     def below(self, c: float) -> float:
         """P(reach this stage and Z_k <= c)."""
         if self._stage == 0:
-            return ndtr(c - self._mean)
+            return float(ndtr(c - self._mean))
         if self._wg is None:
             return 0.0
-        return float(np.dot(self._wg, ndtr(self._standardised(c))))
+        return float(np.dot(self._wg, ndtr((c * self._sqrt_i - self._cond_mean) / self._sd)))
 
     def advance(self, e: float, f: float) -> None:
         """Continue past this stage on (f, e], clipped to the stage mean +/- 8."""
@@ -189,49 +240,77 @@ class _StageStepper:
             return
         info = self._info
         sqrt_ik = math.sqrt(info[k])
-        mean_k = self._theta * sqrt_ik
-        lo = max(f, mean_k - _TAIL_WIDTH) if math.isfinite(f) else mean_k - _TAIL_WIDTH
-        hi = min(e, mean_k + _TAIL_WIDTH)
-        if hi <= lo:
+        mean = self._theta * info[k]
+        lo = max(f * sqrt_ik, mean - _TAIL_WIDTH * sqrt_ik)
+        hi = min(e * sqrt_ik, mean + _TAIL_WIDTH * sqrt_ik)
+        if not hi > lo:
             self._wg = None
             return
-        z, w = _simpson_grid(lo, hi, self._nodes)
+        # the end-corrected trapezoid rule on the lattice nodes in [lo, hi], then
+        # one Gauss-Legendre panel over the remainder [top, hi], shorter than h;
+        # an interval too short for the end corrections is one panel
+        h = self._h
+        n = int((hi - lo) / h) + 1
+        if n < _GREGORY_END.size:
+            n = 0
+        top = lo + h * (n - 1) if n else lo
+        rest = hi - top
+        size = n + _GL_NODES.size if rest > 0.0 else n
+        s = np.empty(size)
+        w = np.empty(size)
+        s[:n] = np.arange(n) * h + lo
+        w[:n] = h
+        if n:
+            ends = (_GREGORY_END - 1.0) * h
+            w[: ends.size] += ends
+            w[n - ends.size : n] += ends[::-1]
+        if rest > 0.0:
+            s[n:] = top + rest * _GL_NODES
+            w[n:] = rest * _GL_WEIGHTS
         if k == 0:
-            g = np.exp(-0.5 * (z - mean_k) ** 2) / _SQRT_2PI
+            g = _gauss((s - mean) / sqrt_ik) / (sqrt_ik * _SQRT_2PI)
         else:
-            if self._kernel is None:
-                self._kernel = np.empty((z.size, z.size))
-            # one reused buffer, as fresh nodes x nodes temporaries page-fault; the
-            # values equal exp(-0.5 * u * u) * scale with u = (z sqrt(I_k) - cond_mean) / sd bit for bit
-            kernel = self._kernel
-            np.subtract.outer(z * sqrt_ik, self._cond_mean, out=kernel)
-            kernel /= self._sd
-            np.square(kernel, out=kernel)
-            kernel *= -0.5
-            np.exp(kernel, out=kernel)
-            kernel *= sqrt_ik / (self._sd * _SQRT_2PI)
-            g = kernel @ self._wg
+            g = self._propagate(s, n)
         self._wg = w * g
+        self._lattice_size = n
         if self._stage < len(info):
             d_info = info[self._stage] - info[k]
             self._sd = math.sqrt(d_info)
             self._sqrt_i = math.sqrt(info[self._stage])
-            # conditional mean of the score S = Z * sqrt(I) given the previous node
-            self._cond_mean = z * sqrt_ik + self._theta * d_info
+            # conditional mean of S_{k+1} given each node
+            self._cond_mean = s + self._theta * d_info
+
+    def _propagate(self, s: np.ndarray, n_new: int) -> np.ndarray:
+        """Density at the new nodes s, whose first n_new lie on the lattice."""
+        wg, mu, sd = self._wg, self._cond_mean, self._sd
+        n_old = self._lattice_size
+        g = np.zeros(s.size)
+        if n_old and n_new:
+            # lattice to lattice: the kernel is a function of i - j alone
+            offsets = np.arange(1 - n_old, n_new) * self._h + (s[0] - mu[0])
+            g[:n_new] = _convolve_valid(wg[:n_old], _gauss(offsets / sd))
+        if wg.size > n_old:
+            g[:n_new] += _gauss(np.subtract.outer(s[:n_new], mu[n_old:]) / sd) @ wg[n_old:]
+        if s.size > n_new:
+            g[n_new:] = _gauss(np.subtract.outer(s[n_new:], mu) / sd) @ wg
+        return g / (sd * _SQRT_2PI)
 
 
 def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -> ExitProbabilities:
     """Exact stage-wise exit probabilities by density recursion.
 
-    At each interim the sub-density of (still running, Z_k = z) is tabulated
-    on the continuation interval clipped to mean +/- 8; tail probabilities of
-    the next statistic given each node are normal CDFs of the independent
-    information increment. Absolute error per probability is far below 1e-6
-    at the default grid.
+    At each interim the sub-density of (still running, S_k = s) is tabulated
+    on the score lattice over the continuation interval clipped to mean +/- 8;
+    tail probabilities of the next statistic given each node are normal CDFs
+    of the independent information increment. The final stage's accept and
+    reject are scaled so that the stages sum to one, so quadrature error
+    cannot push the expected sample size past the maximum. Absolute error per
+    probability is far below 1e-6 at the default lattice.
 
     Args:
         problem: validated test description.
-        nodes: quadrature nodes per stage (odd; even values are bumped by one).
+        nodes: lattice points across 16 standard deviations of the smallest
+            information increment.
 
     Returns:
         ExitProbabilities at the problem's drift.
@@ -249,4 +328,11 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
         stepper.advance(e[k], f[k])
     reject[K - 1] = stepper.above(e[K - 1])
     accept[K - 1] = stepper.below(e[K - 1])
+    last = accept[K - 1] + reject[K - 1]
+    if last > 0.0:
+        remaining = 1.0 - float(np.sum(accept[: K - 1] + reject[: K - 1]))
+        # zero when the earlier stages alone already reach one
+        scale = max(remaining, 0.0) / last
+        accept[K - 1] *= scale
+        reject[K - 1] *= scale
     return ExitProbabilities(tuple(accept), tuple(reject))

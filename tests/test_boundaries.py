@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from gsdelay import boundaries, design
@@ -19,6 +18,7 @@ from gsdelay.boundaries import (
 )
 from gsdelay.errors import ConfigError, SolveError
 from gsdelay.sequential import SequentialProblem, exit_probabilities, normal_quantile
+from zgrid_reference import zgrid_spending_boundaries
 
 EQUAL_3 = (1 / 3, 2 / 3, 1.0)
 
@@ -70,6 +70,12 @@ class TestWangTsiatis:
         with pytest.raises(ConfigError, match="alpha"):
             wt_boundaries(3, EQUAL_3, 0.25, 1e-25)
 
+    def test_single_stage_level_beyond_the_bracket_is_a_config_error(self):
+        # the true C is z_{1 - 1e-25} = 10.4; an upper tail formed as
+        # 1 - ndtr(c) underflowed and made C = 8.29 look like a root
+        with pytest.raises(ConfigError, match="alpha"):
+            wt_boundaries(1, (1.0,), 0.25, 1e-25)
+
     def test_bad_fractions_rejected(self):
         with pytest.raises(ConfigError):
             wt_boundaries(2, (0.7, 0.6), 0.25, 0.05)
@@ -102,6 +108,13 @@ class TestHsdSpend:
     def test_gamma_zero_is_linear(self):
         for t in (0.0, 0.3, 0.8, 1.0):
             assert hsd_spend(t, 0.0, 0.05) == pytest.approx(0.05 * t, abs=1e-15)
+
+    def test_small_gamma_keeps_full_precision(self):
+        # (1 - e^{-g t}) / (1 - e^{-g}) = t (1 + g (1 - t) / 2 + O(g^2))
+        assert hsd_spend(0.25, 1e-12, 0.05) == pytest.approx(0.0125 * (1 + 3.75e-13), rel=1e-15)
+        # a nearly linear schedule keeps strictly increasing spend increments
+        bounds = spending_boundaries(3, EQUAL_3, 2.2e-16, 0.25)
+        assert bounds.achieved_alpha == pytest.approx(0.25, abs=1e-12)
 
     def test_gamma_too_close_to_zero_for_exp_is_linear(self):
         for gamma in (1e-38, -1e-20):
@@ -150,37 +163,21 @@ class TestSpendingBoundaries:
         assert wt.efficacy != hsd.efficacy
 
 
-def reference_spending_boundaries(K, rho, gamma, alpha, futility, nodes):
-    """The HSD solve as it was before stage stepping, kept as an oracle.
+# The worst error of the 301-node z-grid solve against the 1201-node one,
+# over the efficacy bounds and the attained level: 1.23e-4 on two samples of
+# 3000 schedules from the hypothesis space of
+# test_within_z_grid_error_of_fine_reference (the lattice's worst against the
+# same reference, on the second sample, was 1.9e-7), and 8.1e-8 on the three
+# schedules of test_default_nodes_accuracy (the lattice's worst there is
+# 3.2e-10).
+ZGRID_301_WORST_SOLVE_ERROR = 1.24e-4
+ZGRID_301_DEFAULT_SCHEDULE_ERROR = 8.2e-8
 
-    Every brentq step of stage k runs the whole k-stage recursion.
-    """
-    interim = {
-        FutilityStyle.BINDING_ZERO: lambda e: 0.0,
-        FutilityStyle.SYMMETRIC: lambda e: -e,
-        FutilityStyle.NONE: lambda e: -math.inf,
-    }[futility]
 
-    def level(rho, e):
-        f = [interim(x) for x in e[:-1]] + [e[-1]]
-        problem = SequentialProblem(tuple(rho), 0.0, tuple(e), tuple(f))
-        return exit_probabilities(problem, nodes=nodes).total_reject
-
-    targets = [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha]
-    if np.any(np.diff([0.0] + targets) <= 0):
-        return ConfigError
-    solved = []
-    for k in range(K):
-
-        def cumulative_error(x):
-            return level(rho[: k + 1], np.array(solved + [x])) - targets[k]
-
-        try:
-            solved.append(brentq(cumulative_error, -4.0, 12.0, xtol=1e-12))
-        except ValueError:
-            return SolveError
-    e = np.asarray(solved)
-    return tuple(e), level(rho, e)
+def solve_error(bounds, expected):
+    efficacy, achieved = expected
+    return max(max(abs(a - b) for a, b in zip(bounds.efficacy, efficacy)),
+               abs(bounds.achieved_alpha - achieved))
 
 
 class TestAgainstReferenceSpendingSolve:
@@ -190,34 +187,35 @@ class TestAgainstReferenceSpendingSolve:
         gamma=st.floats(-6.0, 3.0),
         alpha=st.floats(0.005, 0.25),
         style=st.sampled_from(list(FutilityStyle)),
-        nodes=st.sampled_from([51, 101]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bitwise_equal(self, K, gaps, gamma, alpha, style, nodes):
+    def test_within_z_grid_error_of_fine_reference(self, K, gaps, gamma, alpha, style):
         rho = np.cumsum(gaps[:K]) / sum(gaps[:K])
         rho[-1] = 1.0
         assume(np.all(np.diff(rho) > 0))
-        expected = reference_spending_boundaries(K, rho, gamma, alpha, style, nodes)
+        expected = zgrid_spending_boundaries(K, rho, gamma, alpha, style, 1201)
         try:
-            bounds = spending_boundaries(K, rho, gamma, alpha, style, nodes)
+            bounds = spending_boundaries(K, rho, gamma, alpha, style)
         except (ConfigError, SolveError) as exc:
             assert expected is type(exc)
             return
-        assert (bounds.efficacy, bounds.achieved_alpha) == expected
+        assert isinstance(expected, tuple)
+        assert solve_error(bounds, expected) <= ZGRID_301_WORST_SOLVE_ERROR
 
     @pytest.mark.parametrize("style", list(FutilityStyle))
-    def test_bitwise_equal_at_default_nodes(self, style):
+    def test_default_nodes_accuracy(self, style):
         rho = np.array([0.2, 0.45, 0.7, 0.85, 1.0])
-        expected = reference_spending_boundaries(5, rho, -2.0, 0.025, style, 301)
+        expected = zgrid_spending_boundaries(5, rho, -2.0, 0.025, style, 1201)
         bounds = spending_boundaries(5, rho, -2.0, 0.025, style)
-        assert (bounds.efficacy, bounds.achieved_alpha) == expected
+        assert solve_error(bounds, expected) <= ZGRID_301_DEFAULT_SCHEDULE_ERROR
 
     def test_empty_continuation_leaves_the_next_stage_unbracketed(self):
         # spending almost all of alpha = 0.49 by the second look needs e_2 < 0,
-        # below the binding futility bound at zero
-        with pytest.raises(SolveError, match="stage 3"):
+        # below the binding futility bound at zero, so no trial would reach
+        # stage 3; the solve names that cause rather than the failed bracket
+        with pytest.raises(SolveError, match="e_2 = -[0-9.e-]+ below its futility bound f_2 = 0"):
             spending_boundaries(3, EQUAL_3, 4.0, 0.49, FutilityStyle.BINDING_ZERO)
-        assert reference_spending_boundaries(
+        assert zgrid_spending_boundaries(
             3, np.array(EQUAL_3), 4.0, 0.49, FutilityStyle.BINDING_ZERO, 301
         ) is SolveError
 

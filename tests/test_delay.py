@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsdelay.boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis
 from gsdelay.delay import DelayQuery, assess_delay, efficiency_loss, ess_delay, expected_time
 from gsdelay.design import DesignSpec, build_design
 from gsdelay.errors import ConfigError
@@ -32,6 +35,27 @@ class TestEssDelay:
             profile = pipeline_counts(design, RecruitmentModel.linear(24.0), m)
             value = ess_delay(design, profile)
             assert design.ess - 1e-9 <= value <= design.max_n + 1e-9
+
+    @given(
+        K=st.integers(2, 8),
+        family=st.one_of(
+            st.floats(0.0, 0.5).map(WangTsiatis), st.floats(-4.0, 1.0).map(HwangShihDeCani)
+        ),
+        style=st.sampled_from(list(FutilityStyle)),
+        alpha=st.sampled_from([0.025, 0.05]),
+        beta=st.sampled_from([0.1, 0.2]),
+        ramp=st.floats(0.05, 1.0),
+        m=st.floats(0.0, 48.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stages_sum_to_one_and_bound_ess_delay(self, K, family, style, alpha, beta, ramp, m):
+        # quadrature error once made the stops sum to 1 + 2e-8, and ess_delay
+        # then exceeded n_max; the last ulps allow for the dot products
+        spec = DesignSpec(alpha=alpha, beta=beta, tau=0.5, num_stages=K, family=family, futility=style)
+        design = build_design(spec)
+        assert abs(sum(design.exit.stop_per_stage) - 1.0) <= 1e-12
+        value = ess_delay(design, pipeline_counts(design, RecruitmentModel.mixed(24.0, ramp), m))
+        assert design.ess <= value <= design.max_n * (1.0 + 1e-12)
 
     def test_dimension_mismatch(self, table_design):
         profile = pipeline_counts(table_design(2), RecruitmentModel.uniform(24.0), 3.0)

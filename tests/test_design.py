@@ -139,6 +139,11 @@ class TestRangeRules:
         with pytest.raises(ConfigError, match=f"^{field} = "):
             single_stage_n(**{**args, field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_evaluation_effect_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="^mu_eval = "):
+            wt_spec(3, mu_eval=value)
+
     @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf, 0, 3.0])
     def test_stage_count_must_be_an_integer(self, K):
         with pytest.raises(ConfigError, match="stage count K"):

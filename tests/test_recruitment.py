@@ -37,6 +37,10 @@ class TestSolveDelta:
         with pytest.warns(UserWarning, match="ramp"):
             solve_delta(100.0, 10.0, 0.05)
 
+    def test_rejects_a_period_whose_capacity_underflows(self):
+        with pytest.raises(ConfigError, match="^t_max = 5e-324 is too short"):
+            solve_delta(100.0, 5e-324, 1.0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigError):
             solve_delta(-1.0, 24.0, 0.5)

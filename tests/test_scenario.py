@@ -195,6 +195,13 @@ class TestLibraryRulesWithLineNumbers:
         with pytest.raises(ScenarioError, match="^line 7: Wang-Tsiatis shape must be finite"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_non_finite_mu_carries_line_number(self, token):
+        lines = list(RANGED)
+        lines.insert(4, f"mu = {token}")
+        with pytest.raises(ScenarioError, match=f"^line 5: mu = {token} must be finite"):
+            parse_scenario("\n".join(lines) + "\n")
+
     def test_wrong_rho_count_carries_line_number(self):
         text = "[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk = 3\nrho = 0.5 1\nfamily = wt\n"
         with pytest.raises(ScenarioError, match="line 6: rho: expected 3 information fractions, got 2"):
