@@ -32,7 +32,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,6 +40,7 @@ from scipy.optimize import brentq
 from .errors import ConfigError, SolveError
 from .sequential import (
     DEFAULT_NODES,
+    ExitProbabilities,
     SequentialProblem,
     _StageStepper,
     _clipped_probit,
@@ -88,11 +89,14 @@ class HwangShihDeCani:
     gamma: float
 
     def __post_init__(self):
-        # hsd_spend evaluates exp(-gamma), which must not overflow
-        if not (math.isfinite(self.gamma) and -self.gamma < _MAX_EXP_ARG):
-            raise ConfigError(
-                f"spending parameter gamma must be finite and above {-_MAX_EXP_ARG:.2f}"
-            )
+        _check_gamma(self.gamma)
+
+
+def _check_gamma(gamma: float) -> float:
+    # hsd_spend evaluates exp(-gamma), which must not overflow
+    if not (math.isfinite(gamma) and -gamma < _MAX_EXP_ARG):
+        raise ConfigError(f"spending parameter gamma must be finite and above {-_MAX_EXP_ARG:.2f}")
+    return gamma
 
 
 BoundaryFamily = WangTsiatis | HwangShihDeCani
@@ -106,11 +110,17 @@ class FutilityStyle(str, enum.Enum):
 
 @dataclass(frozen=True)
 class BoundarySet:
-    """Per-stage critical values with the attained one-sided level."""
+    """Per-stage critical values with the attained one-sided level.
+
+    A solved set also keeps, privately, the interim tables of its final
+    zero-drift pass on the information fractions (see ``exit_probabilities``),
+    from which a design gets the exit probabilities at any drift by tilting.
+    """
 
     efficacy: tuple[float, ...]
     futility: tuple[float, ...]
     achieved_alpha: float
+    _null_tables: tuple = field(default=(), compare=False, repr=False)
 
 
 def _futility_bound(e: float, style: FutilityStyle) -> float:
@@ -183,14 +193,22 @@ def wt_boundaries(
     scale = rho ** (shape - 0.5)
     probit_alpha = _clipped_probit(alpha)
 
-    @functools.cache
-    def level(c: float) -> float:
+    def null_pass(c: float) -> ExitProbabilities:
         e = c * scale
         problem = SequentialProblem(tuple(rho), 0.0, tuple(e), tuple(_apply_futility(e, futility)))
-        return exit_probabilities(problem, nodes=nodes).total_reject
+        return exit_probabilities(problem, nodes=nodes)
 
+    # the pass nearest to alpha so far, whose constant brentq returns; the
+    # others' tables are dropped as the search goes
+    nearest: dict = {}
+
+    @functools.cache
     def level_gap(c: float) -> float:
-        return probit_alpha - _clipped_probit(level(c))
+        exits = null_pass(c)
+        gap = probit_alpha - _clipped_probit(exits.total_reject)
+        if not abs(gap) > nearest.get("gap", math.inf):
+            nearest.update(c=c, gap=abs(gap), exits=exits)
+        return gap
 
     lo, hi = _WT_BRACKET
     with np.errstate(divide="ignore"):
@@ -208,10 +226,9 @@ def wt_boundaries(
             f"no Wang-Tsiatis constant in [{lo}, {hi}] attains alpha={alpha}"
         ) from exc
     e = c * scale
-    # brentq returns a point it has evaluated, so the level comes from the cache
-    achieved = level(c)
+    solved = nearest["exits"] if nearest["c"] == c else null_pass(c)
     f = _apply_futility(e, futility)
-    return BoundarySet(tuple(e), tuple(f), achieved)
+    return BoundarySet(tuple(e), tuple(f), solved.total_reject, solved._null_tables)
 
 
 def hsd_spend(t: float, gamma: float, alpha: float) -> float:
@@ -222,6 +239,7 @@ def hsd_spend(t: float, gamma: float, alpha: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ConfigError("information fraction must lie in [0, 1]")
+    _check_gamma(gamma)
     if abs(gamma) < _LINEAR_GAMMA:
         # the ratio is t * (1 + O(gamma)): the linear limit, exact in doubles
         return alpha * t
@@ -246,6 +264,7 @@ def spending_boundaries(
     stage is solved.
     """
     rho = _check_fractions(rho, K)
+    _check_gamma(gamma)
     _check_alpha(alpha)
 
     targets = [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha]
@@ -258,6 +277,7 @@ def spending_boundaries(
     stepper = _StageStepper(rho, 0.0, nodes)
     solved: list[float] = []
     crossed: list[float] = []
+    tables = []
     for k in range(K):
 
         def cumulative_error(x: float) -> float:
@@ -279,9 +299,10 @@ def spending_boundaries(
                     f"f_{k + 1} = {f_k:.6g}; the spend schedule leaves no continuation"
                 )
             stepper.advance(e_k, f_k)
+            tables.append(stepper.table())
 
     e = np.asarray(solved)
-    return BoundarySet(tuple(e), tuple(_apply_futility(e, futility)), sum(crossed))
+    return BoundarySet(tuple(e), tuple(_apply_futility(e, futility)), sum(crossed), tuple(tables))
 
 
 def build_boundaries(

@@ -2,10 +2,13 @@
 
 A design is found by first building the stopping boundaries at the requested
 one-sided level (they depend only on K, the information fractions and the
-futility style) and then inflating the maximum sample size until the test
-attains the requested power at the target effect. Sample sizes stay
-continuous throughout; rounding to whole participants happens only in
-``round_for_report``.
+futility style) and then solving for the maximum sample size at which the
+test attains the requested power at the target effect. Under zero drift the
+boundary solve already walks the continuing density on the information
+fractions; every effect and size is a drift on those fractions, so the power
+search and the operating characteristics tilt that one null pass rather than
+repeat the recursion. Sample sizes stay continuous throughout; rounding to
+whole participants happens only in ``round_for_report``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .sequential import (
     ExitProbabilities,
     SequentialProblem,
     _clipped_probit,
+    _Tilt,
     exit_probabilities,
     normal_quantile,
 )
@@ -47,6 +51,9 @@ __all__ = [
 
 # Power search gives up beyond this multiple of the single-stage size.
 _MAX_INFLATION = 50.0
+
+# The power search's first step, in probit gaps of the power past the single-stage eta.
+_FIRST_STEP = 1.2
 
 # Floor on tau^2 times the information per participant. The single-stage
 # size is z^2 over this product, so the floor keeps every size the power
@@ -165,7 +172,11 @@ class GroupSequentialDesign:
         return self.spec.num_stages
 
     def exit_at(self, mu: float, nodes: int = DEFAULT_NODES) -> ExitProbabilities:
-        """Exit probabilities under an arbitrary effect."""
+        """Exit probabilities under an arbitrary effect, by the density recursion.
+
+        This is independent of the tilted null pass that ``build_design``
+        evaluates, so it also checks the design's own exit probabilities.
+        """
         problem = SequentialProblem(
             self.info_levels, mu, self.boundaries.efficacy, self.boundaries.futility
         )
@@ -193,15 +204,24 @@ def single_stage_n(
 def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentialDesign:
     """Build the design described by ``spec``.
 
-    The maximum sample size is found by root search so that the rejection
-    probability at the target effect equals 1 - beta (within 1e-6 or better).
-    The search works on the probit scale of the power and starts at the
-    single-stage size, which lies below the root; rejection is monotone in the
-    maximum size, so the bracket is widened by 1.5x until it straddles the
-    target.
+    The power search solves for eta = tau * sqrt(I_max), the drift on the
+    information fractions, at which the rejection probability equals
+    1 - beta (within 1e-6 or better); n_max is (eta / tau)^2 over the
+    information per participant. Each step tilts the boundary solve's null
+    pass to eta (see ``sequential._Tilt``), O(n) per stage with no density
+    recursion. The search works on the probit scale of the power, which is
+    close to linear in eta, and starts at the single-stage eta =
+    z_{1-alpha} + z_{1-beta}: a level-alpha test never beats the
+    single-stage test at its own size, so that eta lies below the root. The
+    first step goes 1.2 probit gaps past it; if that still falls short, the
+    bracket runs to sqrt(50) times it, which is 50x the single-stage size.
+    The exit probabilities and the ESS are those at eta * mu_eval / tau.
 
     Raises:
-        SolveError: if the power is unattainable below 50x the single-stage size.
+        ConfigError: if the power asked for equals the level, so that the
+            single-stage size is zero.
+        SolveError: if the power is below the design's floor, or
+            unattainable below 50x the single-stage size.
     """
     K = spec.num_stages
     rho = np.asarray(spec.fractions)
@@ -209,43 +229,53 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     n_ref = single_stage_n(
         spec.alpha, spec.beta, spec.tau, spec.sigma0_sq, spec.sigma1_sq, spec.allocation
     )
+    eta_ref = spec.tau * math.sqrt(spec.information_for_total(n_ref))
+    if not eta_ref > 0.0:
+        raise ConfigError(
+            f"power {1 - spec.beta} equals the level alpha = {spec.alpha}: "
+            "the single-stage size is zero"
+        )
+    eta_max = math.sqrt(_MAX_INFLATION) * eta_ref
 
     z_power = normal_quantile(1.0 - spec.beta)
 
+    tilt = _Tilt(bounds._null_tables, rho, bounds.efficacy, bounds.futility)
+
     @functools.cache
-    def exit_at(total_n: float, drift: float) -> ExitProbabilities:
-        info = tuple(rho * spec.information_for_total(total_n))
-        problem = SequentialProblem(info, drift, bounds.efficacy, bounds.futility)
+    def exits(eta: float) -> ExitProbabilities:
+        # eta is the drift on the information fractions
+        tilted = tilt(eta)
+        if tilted is not None:
+            return tilted
+        problem = SequentialProblem(tuple(rho), eta, bounds.efficacy, bounds.futility)
         return exit_probabilities(problem, nodes=nodes)
 
-    def power_gap(total_n: float) -> float:
-        # on the probit scale, close to linear in sqrt(total_n)
-        return _clipped_probit(exit_at(total_n, spec.tau).total_reject) - z_power
+    def power_gap(eta: float) -> float:
+        return _clipped_probit(exits(eta).total_reject) - z_power
 
-    # A level-alpha test never beats the single-stage test at its own size, so
-    # n_ref lies below the root unless the power asked for is below the level.
-    lo = n_ref
-    if power_gap(lo) > 0:
-        while power_gap(lo) > 0 and lo > 1e-9 * n_ref:
-            lo /= 4.0
+    lo = eta_ref
+    gap = power_gap(lo)
+    if gap > 0:
+        # the power asked for is below the level; size n / 4 is eta / 2
+        while power_gap(lo) > 0 and lo > math.sqrt(1e-9) * eta_ref:
+            lo /= 2.0
         if power_gap(lo) > 0:
             # rejection tends to the attained level as information vanishes, so the
             # requested power sits below the design's floor
             raise SolveError(f"power {1 - spec.beta} is below the attainable floor of this design")
-        hi = 4.0 * lo
+        hi = 2.0 * lo
     else:
-        # The single-stage probit of the power grows as sqrt(total_n); close
-        # the gap at that rate and step 3% further, so the first step mostly
-        # lands just past the root.
-        z_ref = spec.tau * math.sqrt(spec.information_for_total(n_ref))
-        hi = min(1.03 * n_ref * (1.0 - power_gap(lo) / z_ref) ** 2, _MAX_INFLATION * n_ref)
-        while power_gap(hi) < 0:
-            lo, hi = hi, 1.5 * hi
-            if hi > _MAX_INFLATION * n_ref:
+        # the probit of the power climbs with eta, a little slower than the
+        # single-stage test's unit rate, so the first step goes 1.2 gaps past
+        hi = min(lo - _FIRST_STEP * gap, eta_max)
+        if power_gap(hi) < 0:
+            lo, hi = hi, eta_max
+            if power_gap(hi) < 0:
                 raise SolveError(
                     f"power {1 - spec.beta} unattainable below {_MAX_INFLATION}x the single-stage size"
                 )
-    max_n = float(brentq(power_gap, lo, hi, xtol=1e-9))
+    eta = float(brentq(power_gap, lo, hi, xtol=1e-12))
+    max_n = (eta / spec.tau) ** 2 / spec.information_for_total(1.0)
 
     stage_n = rho * max_n
     r = spec.allocation
@@ -253,7 +283,7 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     experimental_n = stage_n * r / (1.0 + r)
     info_levels = tuple(rho * spec.information_for_total(max_n))
     # brentq returns a point it has evaluated, so at mu_eval = tau this is a cache hit
-    exit = exit_at(max_n, spec.evaluation_effect)
+    exit = exits(eta * (spec.evaluation_effect / spec.tau))
     ess = float(np.dot(exit.stop_per_stage, stage_n))
     return GroupSequentialDesign(
         spec=spec,

@@ -27,12 +27,33 @@ gives the probability of crossing any critical value at the next analysis in
 O(n). ``exit_probabilities`` is a loop over it, and the error-spending solve
 steps it once per stage, so a whole set of Hwang-Shih-DeCani boundaries
 costs about one recursion.
+
+One pass under zero drift serves every drift. By Wald's likelihood-ratio
+identity (Siegmund, *Sequential Analysis*, 1985, ch. 2; Jennison & Turnbull
+2000, ch. 19) the continuing sub-density under drift theta is the null one
+times exp(theta * s - theta^2 * I_k / 2) on the score scale, and the next
+increment's mean moves by theta * dI_k. The Gaussian kernel obeys the same
+identity, so where the bounds clip both windows the tilt and the drifted
+recursion give the same quadrature to rounding; elsewhere they integrate
+the same density on shifted lattices. A zero-drift
+``exit_probabilities`` therefore keeps each interim's nodes and weighted
+density, and ``_Tilt`` gives the exit probabilities at any drift from them
+in O(n) per stage, with no convolution; the boundary solves keep the tables
+of their final pass, and the power search of ``design`` runs on them.
+
+The tilt sees only the null windows, mean +/- 8 at zero drift clipped to
+(f_k, e_k]. A drifted density within the bounds but past +/- 8 is missed:
+before each tilt the missed mass is bounded by the sum over the interims of
+[e_k > 8] Phi(theta sqrt(I_k) - 8) + [f_k < -8] Phi(-8 - theta sqrt(I_k)),
+and above 1e-14 the tilt declines, so that the caller runs the recursion at
+that drift. A drift below zero without a futility bound, or an early
+efficacy bound above 8 (Wang-Tsiatis shapes below zero), takes that path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -57,6 +78,9 @@ _TAIL_WIDTH = 8.0
 # Lattice points a stage may need before the recursion refuses the problem.
 _MAX_LATTICE = 200_000
 
+# Drifted mass a tilted evaluation may miss before the recursion runs instead.
+_TILT_MISS = 1e-14
+
 # Above this many kernel products a stage convolves by FFT.
 _FFT_PRODUCTS = 4_000_000
 
@@ -73,6 +97,9 @@ _GL_NODES = 0.5 + 0.5 * np.array(
 _GL_WEIGHTS = 0.5 * np.array(
     [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
 )
+
+# The table of a stage past which no trial continues.
+_EMPTY = np.empty(0)
 
 # The smallest and largest doubles strictly inside (0, 1).
 _SMALLEST_P = math.ulp(0.0)
@@ -148,10 +175,13 @@ class ExitProbabilities:
     accept_per_stage[k] is the probability of stopping at stage k+1 with
     Z <= f, reject_per_stage[k] of stopping with Z > e. The two sum to the
     stage stopping probability, and over all stages they sum to one.
+    A zero-drift recursion also keeps, privately, each interim's lattice nodes
+    and weighted density, from which ``_Tilt`` gets any drift.
     """
 
     accept_per_stage: tuple[float, ...]
     reject_per_stage: tuple[float, ...]
+    _null_tables: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def stop_per_stage(self) -> tuple[float, ...]:
@@ -280,6 +310,12 @@ class _StageStepper:
             # conditional mean of S_{k+1} given each node
             self._cond_mean = s + self._theta * d_info
 
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Conditional means and weighted density past the last stage; empty if none continues."""
+        if self._wg is None:
+            return _EMPTY, _EMPTY
+        return self._cond_mean, self._wg
+
     def _propagate(self, s: np.ndarray, n_new: int) -> np.ndarray:
         """Density at the new nodes s, whose first n_new lie on the lattice."""
         wg, mu, sd = self._wg, self._cond_mean, self._sd
@@ -319,6 +355,8 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
     e = np.asarray(problem.efficacy, dtype=float)
     f = np.asarray(problem.futility, dtype=float)
     stepper = _StageStepper(np.asarray(problem.info_levels, dtype=float), problem.drift, nodes)
+    # a zero-drift pass keeps its interim tables for tilting
+    tables = [] if problem.drift == 0.0 else None
     accept = np.zeros(K)
     reject = np.zeros(K)
     for k in range(K - 1):
@@ -326,8 +364,16 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
         if math.isfinite(f[k]):
             accept[k] = stepper.below(f[k])
         stepper.advance(e[k], f[k])
+        if tables is not None:
+            tables.append(stepper.table())
     reject[K - 1] = stepper.above(e[K - 1])
     accept[K - 1] = stepper.below(e[K - 1])
+    return _summing_to_one(accept, reject, tuple(tables or ()))
+
+
+def _summing_to_one(accept: np.ndarray, reject: np.ndarray, tables=()) -> ExitProbabilities:
+    """The exit probabilities with the final stage scaled so that all stages sum to one."""
+    K = accept.size
     last = accept[K - 1] + reject[K - 1]
     if last > 0.0:
         remaining = 1.0 - float(np.sum(accept[: K - 1] + reject[: K - 1]))
@@ -335,4 +381,90 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
         scale = max(remaining, 0.0) / last
         accept[K - 1] *= scale
         reject[K - 1] *= scale
-    return ExitProbabilities(tuple(accept), tuple(reject))
+    return ExitProbabilities(tuple(accept), tuple(reject), tables)
+
+
+class _Tilt:
+    """Exit probabilities at any drift from the interim tables of a zero-drift pass.
+
+    ``tables`` are the ``_null_tables`` of ``exit_probabilities`` at zero
+    drift on the same information levels and bounds, or the ones a boundary
+    solve keeps. Under drift theta the continuing sub-density at each node s
+    is the null one times exp(theta * s - theta^2 * I_k / 2), and the next
+    increment's mean moves by theta * dI, so every stage costs O(n) and no
+    convolution; all stages' nodes are evaluated together in one array.
+
+    The tilt reweights only the nodes of the null windows, mean +/- 8 at zero
+    drift clipped to (f_k, e_k]. Where a bound beyond 8 lets the drifted
+    density reach past them, the missed mass is bounded by its normal tail;
+    above 1e-14 a call returns None, so that the caller runs the recursion at
+    that drift instead. Without one table per interim every call returns None.
+    """
+
+    def __init__(self, tables, info, efficacy, futility):
+        info = np.asarray(info, dtype=float)
+        e = np.asarray(efficacy, dtype=float)
+        f = np.array(futility, dtype=float)
+        K = info.size
+        self._usable = len(tables) == K - 1
+        sqrt_i = np.sqrt(info)
+        # stage 1 is normal; the last stage accepts below its efficacy bound
+        f[K - 1] = e[K - 1]
+        self._first = sqrt_i[0], e[0], f[0]
+        self._stages = K
+        # the null windows' edges at +/- 8: the missed mass is Phi(theta * this - 8)
+        self._guard = np.concatenate(
+            (sqrt_i[:-1][e[:-1] > _TAIL_WIDTH], -sqrt_i[:-1][f[:-1] < -_TAIL_WIDTH])
+        )
+        if K == 1 or not self._usable:
+            self._s = _EMPTY
+            return
+        self._sizes = [s.size for s, _ in tables]
+
+        def per_node(values):
+            return np.repeat(values, self._sizes)
+
+        sd = np.sqrt(np.diff(info))
+        self._s = np.concatenate([s for s, _ in tables])
+        self._wg = np.concatenate([wg for _, wg in tables])
+        self._stage = per_node(np.arange(1, K))
+        self._half_i = info[:-1] / 2.0
+        # the next increment's mean, theta * dI, is theta * sd in units of its sd;
+        # the continuing Z_k crosses e_k with probability Phi(above + theta * sd)
+        # and falls to f_k or below with probability Phi(below - theta * sd)
+        self._sd = sd
+        s_sd = self._s / per_node(sd)
+        self._above = s_sd - per_node(e[1:] * sqrt_i[1:] / sd)
+        below = per_node(f[1:] * sqrt_i[1:] / sd) - s_sd
+        # an infinite futility bound accepts nothing: only the other nodes count
+        finite = np.isfinite(below)
+        self._accepting = slice(None) if finite.all() else np.flatnonzero(finite)
+        self._below = below[self._accepting]
+
+    def __call__(self, theta: float) -> ExitProbabilities | None:
+        if not self._usable:
+            return None
+        if not float(np.sum(ndtr(theta * self._guard - _TAIL_WIDTH))) <= _TILT_MISS:
+            return None
+        K = self._stages
+        sqrt_i1, e1, f1 = self._first
+        mean = theta * sqrt_i1
+        reject = np.zeros(K)
+        accept = np.zeros(K)
+        reject[0] = ndtr(mean - e1)
+        accept[0] = ndtr(f1 - mean)
+        if self._s.size:
+            # in place, to hold few lattice-sized arrays at once
+            tilted = theta * self._s
+            tilted -= np.repeat(theta * theta * self._half_i, self._sizes)
+            np.exp(tilted, out=tilted)
+            tilted *= self._wg
+            shift = np.repeat(theta * self._sd, self._sizes)
+            crossed = ndtr(self._above + shift)
+            crossed *= tilted
+            reject += np.bincount(self._stage, weights=crossed, minlength=K)
+            ix = self._accepting
+            crossed = ndtr(self._below - shift[ix])
+            crossed *= tilted[ix]
+            accept += np.bincount(self._stage[ix], weights=crossed, minlength=K)
+        return _summing_to_one(accept, reject)

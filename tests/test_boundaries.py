@@ -124,6 +124,15 @@ class TestHsdSpend:
         with pytest.raises(ConfigError, match="gamma"):
             HwangShihDeCani(-1000.0)
 
+    @pytest.mark.parametrize("gamma", [-1000.0, math.nan, math.inf])
+    def test_spend_applies_the_gamma_rule(self, gamma):
+        with pytest.raises(ConfigError, match="spending parameter gamma"):
+            hsd_spend(0.5, gamma, 0.05)
+
+    def test_spending_solve_applies_the_gamma_rule(self):
+        with pytest.raises(ConfigError, match="spending parameter gamma"):
+            spending_boundaries(3, EQUAL_3, math.nan, 0.05)
+
     def test_monotone_in_t(self):
         grid = [hsd_spend(t, -2.0, 0.05) for t in np.linspace(0, 1, 21)]
         assert all(b > a for a, b in zip(grid, grid[1:]))
@@ -224,6 +233,17 @@ BUDGET_FAMILIES = [WangTsiatis(0.0), WangTsiatis(0.5), HwangShihDeCani(-4.0), Hw
 BUDGET_ALPHAS = [0.01, 0.025, 0.05, 0.1]
 
 
+def budget_grid():
+    """K 1-10, both families, every futility style, with the level cycling through BUDGET_ALPHAS."""
+    for K in range(1, 11):
+        for i, family in enumerate(BUDGET_FAMILIES):
+            for j, style in enumerate(FutilityStyle):
+                alpha = BUDGET_ALPHAS[(K + i + j) % len(BUDGET_ALPHAS)]
+                yield design.DesignSpec(
+                    alpha=alpha, beta=0.1, tau=0.5, num_stages=K, family=family, futility=style
+                )
+
+
 def test_recursion_budget(monkeypatch):
     """Density recursions per solve over K 1-10, both families, every futility style."""
     calls = {"boundaries": 0, "design": 0}
@@ -238,18 +258,26 @@ def test_recursion_budget(monkeypatch):
     monkeypatch.setattr(boundaries, "exit_probabilities", counting("boundaries"))
     monkeypatch.setattr(design, "exit_probabilities", counting("design"))
     worst = {"wt": 0, "hsd": 0, "power": 0}
-    for K in range(1, 11):
-        for i, family in enumerate(BUDGET_FAMILIES):
-            for j, style in enumerate(FutilityStyle):
-                alpha = BUDGET_ALPHAS[(K + i + j) % len(BUDGET_ALPHAS)]
-                spec = design.DesignSpec(
-                    alpha=alpha, beta=0.1, tau=0.5, num_stages=K, family=family, futility=style
-                )
-                calls.update(boundaries=0, design=0)
-                design.build_design(spec)
-                kind = "wt" if isinstance(family, WangTsiatis) else "hsd"
-                worst[kind] = max(worst[kind], calls["boundaries"])
-                worst["power"] = max(worst["power"], calls["design"])
+    for spec in budget_grid():
+        calls.update(boundaries=0, design=0)
+        design.build_design(spec)
+        kind = "wt" if isinstance(spec.family, WangTsiatis) else "hsd"
+        worst[kind] = max(worst[kind], calls["boundaries"])
+        worst["power"] = max(worst["power"], calls["design"])
     assert worst["hsd"] <= 1
     assert worst["wt"] <= 10
     assert worst["power"] <= 12
+
+
+def test_power_search_makes_no_recursion(monkeypatch):
+    """On the budget grid the power search and the final evaluation only tilt the null pass."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exit_probabilities(*args, **kwargs)
+
+    monkeypatch.setattr(design, "exit_probabilities", counting)
+    for spec in budget_grid():
+        design.build_design(spec)
+    assert calls == []

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gsdelay.boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis
+from gsdelay.boundaries import BoundarySet, FutilityStyle, HwangShihDeCani, WangTsiatis
 from gsdelay.design import (
     DesignSpec,
     GroupSequentialDesign,
@@ -97,6 +98,11 @@ class TestBuildDesign:
         with pytest.raises(SolveError, match="floor"):
             build_design(wt_spec(2, beta=0.96))
 
+    def test_power_equal_to_the_level_has_no_single_stage_size(self):
+        # z_{0.75} + z_{0.25} is exactly zero
+        with pytest.raises(ConfigError, match="single-stage size is zero"):
+            build_design(wt_spec(3, alpha=0.25, beta=0.75))
+
     def test_mu_eval_defaults_to_tau(self):
         spec = wt_spec(2)
         assert spec.evaluation_effect == spec.tau
@@ -117,6 +123,33 @@ class TestBuildDesign:
     def test_rejects_sizes_that_overflow(self, kwargs):
         with pytest.raises(ConfigError, match="tau is too small"):
             wt_spec(2, **kwargs)
+
+
+class TestNullTables:
+    """The boundary solve's null-pass tables ride on the design without changing its identity."""
+
+    @pytest.mark.parametrize("family", [WangTsiatis(0.25), HwangShihDeCani(-2.0)])
+    def test_two_builds_compare_and_hash_equal(self, family):
+        first, second = (build_design(wt_spec(4, family=family)) for _ in range(2))
+        assert first.boundaries._null_tables and second.boundaries._null_tables
+        assert first == second and hash(first) == hash(second)
+        assert (first.max_n, first.ess, first.boundaries, first.exit) == (
+            second.max_n, second.ess, second.boundaries, second.exit
+        )
+
+    def test_repr_shows_no_arrays(self):
+        design = build_design(wt_spec(3))
+        assert "array" not in repr(design.boundaries)
+        assert "_null_tables" not in repr(design)
+
+    def test_hand_built_boundaries(self):
+        design = build_design(wt_spec(3))
+        solved = design.boundaries
+        hand_built = BoundarySet(solved.efficacy, solved.futility, solved.achieved_alpha)
+        assert hand_built == solved and hash(hand_built) == hash(solved)
+        redesigned = dataclasses.replace(design, boundaries=hand_built)
+        assert redesigned == design
+        assert redesigned.exit_at(0.5).total_reject == pytest.approx(0.9, abs=1e-6)
 
 
 NON_FINITE_OR_ZERO = [math.nan, math.inf, -math.inf, 0.0]

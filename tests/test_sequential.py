@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gsdelay import sequential
-from gsdelay.boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis
+from gsdelay.boundaries import (
+    BoundarySet,
+    FutilityStyle,
+    HwangShihDeCani,
+    WangTsiatis,
+    build_boundaries,
+)
 from gsdelay.design import DesignSpec, build_design
-from gsdelay.errors import ConfigError
+from gsdelay.errors import ConfigError, SolveError
 from gsdelay.sequential import (
     ExitProbabilities,
     _clipped_probit,
@@ -18,6 +24,8 @@ from gsdelay.sequential import (
     normal_quantile,
 )
 from zgrid_reference import zgrid_exit_probabilities
+
+EQUAL_3 = (1 / 3, 2 / 3, 1.0)
 
 # frozen against a 50-digit arbitrary-precision oracle
 NORMAL_CDF_ORACLE = [
@@ -228,6 +236,88 @@ class TestAgainstReferenceRecursion:
         assert max_abs_error(probs, expected) <= ZGRID_301_WORST_ERROR
         assert probs.reject_per_stage[2] == 0.0 and probs.accept_per_stage[2] == 0.0
         assert probs.reject_per_stage[1] > 0.0
+
+
+@st.composite
+def solved_boundaries(draw):
+    """Boundaries of either family under any futility style, K 1-10, some unequally spaced."""
+    K = draw(st.integers(1, 10))
+    if K > 1 and draw(st.booleans()):
+        gaps = draw(st.lists(st.floats(0.2, 3.0), min_size=K, max_size=K))
+        rho = np.cumsum(gaps) / np.sum(gaps)
+        rho[-1] = 1.0
+    else:
+        rho = np.arange(1, K + 1) / K
+    if draw(st.booleans()):
+        family = WangTsiatis(draw(st.floats(-0.5, 0.6)))
+    else:
+        family = HwangShihDeCani(draw(st.floats(-4.0, 2.0)))
+    style = draw(st.sampled_from(list(FutilityStyle)))
+    alpha = draw(st.sampled_from([0.01, 0.025, 0.05, 0.1]))
+    try:
+        bounds = build_boundaries(family, K, rho, alpha, style)
+    except (ConfigError, SolveError):
+        assume(False)
+    return rho, bounds
+
+
+def tilted(rho, bounds, eta):
+    return sequential._Tilt(bounds._null_tables, rho, bounds.efficacy, bounds.futility)(eta)
+
+
+def direct(rho, bounds, eta):
+    return exit_probabilities(SequentialProblem(tuple(rho), eta, bounds.efficacy, bounds.futility))
+
+
+class TestTiltedEvaluation:
+    """Exit probabilities at a drift from the boundary solve's null pass, against the recursion."""
+
+    @given(case=solved_boundaries(), eta=st.floats(-6.0, 10.0))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_recursion(self, case, eta):
+        rho, bounds = case
+        got = tilted(rho, bounds, eta)
+        # None sends the caller to the recursion itself
+        if got is not None:
+            assert max_abs_error(got, direct(rho, bounds, eta)) <= 1e-10
+
+    def test_covered_windows_take_the_tilt(self):
+        rho = np.array([0.2, 0.45, 0.7, 0.85, 1.0])
+        # without a futility bound the null window stops at -8, which a drift
+        # below zero reaches past
+        cases = ((FutilityStyle.NONE, (0.0, 3.0, 6.0)), (FutilityStyle.BINDING_ZERO, (-4.0, 3.0)))
+        for style, etas in cases:
+            bounds = build_boundaries(WangTsiatis(0.25), 5, rho, 0.025, style)
+            for eta in etas:
+                got = tilted(rho, bounds, eta)
+                assert got is not None
+                assert max_abs_error(got, direct(rho, bounds, eta)) <= 1e-12
+
+    def test_an_early_bound_beyond_8_takes_the_recursion(self, monkeypatch):
+        # e_1 = 11.6: the null window stops at 8, and at eta = 10 the drifted
+        # stage-1 density reaches past it
+        rho = np.arange(1, 10) / 9
+        bounds = build_boundaries(WangTsiatis(-0.37), 9, rho, 0.05, FutilityStyle.SYMMETRIC)
+        assert bounds.efficacy[0] > 8.0
+        assert tilted(rho, bounds, 10.0) is None
+        monkeypatch.setattr(sequential, "_TILT_MISS", math.inf)
+        assert max_abs_error(tilted(rho, bounds, 10.0), direct(rho, bounds, 10.0)) > 1e-7
+
+    def test_design_takes_the_recursion_where_the_tilt_misses(self):
+        spec = DesignSpec(
+            alpha=0.05, beta=0.1, tau=0.5, num_stages=9, family=WangTsiatis(-0.37),
+            futility=FutilityStyle.SYMMETRIC, mu_eval=1.1,
+        )
+        design = build_design(spec)
+        assert max_abs_error(design.exit, design.exit_at(spec.mu_eval)) <= 1e-12
+
+    def test_no_tables_take_the_recursion(self):
+        bounds = build_boundaries(WangTsiatis(0.25), 3, EQUAL_3, 0.05, FutilityStyle.NONE)
+        hand_built = BoundarySet(bounds.efficacy, bounds.futility, bounds.achieved_alpha)
+        assert tilted(EQUAL_3, hand_built, 2.0) is None
+        single = BoundarySet((1.6448536269514722,), (1.6448536269514722,), 0.05)
+        got = tilted((1.0,), single, 2.0)
+        assert max_abs_error(got, direct((1.0,), single, 2.0)) <= 1e-15
 
 
 class TestScoreLattice:
