@@ -28,7 +28,6 @@ the fractions serve as information levels directly.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 import sys
@@ -198,17 +197,13 @@ def wt_boundaries(
         problem = SequentialProblem(tuple(rho), 0.0, tuple(e), tuple(_apply_futility(e, futility)))
         return exit_probabilities(problem, nodes=nodes)
 
-    # the pass nearest to alpha so far, whose constant brentq returns; the
-    # others' tables are dropped as the search goes
-    nearest: dict = {}
+    # every pass of the search by its constant; brentq returns one of them
+    passes: dict[float, ExitProbabilities] = {}
 
-    @functools.cache
     def level_gap(c: float) -> float:
-        exits = null_pass(c)
-        gap = probit_alpha - _clipped_probit(exits.total_reject)
-        if not abs(gap) > nearest.get("gap", math.inf):
-            nearest.update(c=c, gap=abs(gap), exits=exits)
-        return gap
+        if c not in passes:
+            passes[c] = null_pass(c)
+        return probit_alpha - _clipped_probit(passes[c].total_reject)
 
     lo, hi = _WT_BRACKET
     with np.errstate(divide="ignore"):
@@ -226,7 +221,7 @@ def wt_boundaries(
             f"no Wang-Tsiatis constant in [{lo}, {hi}] attains alpha={alpha}"
         ) from exc
     e = c * scale
-    solved = nearest["exits"] if nearest["c"] == c else null_pass(c)
+    solved = passes[c] if c in passes else null_pass(c)
     f = _apply_futility(e, futility)
     return BoundarySet(tuple(e), tuple(f), solved.total_reject, solved._null_tables)
 

@@ -196,7 +196,7 @@ def single_stage_n(
     With equal allocation this is 2(s0^2+s1^2)(z_{1-alpha}+z_{1-beta})^2/tau^2.
     """
     _check_sizing(alpha, beta, tau, sigma0_sq, sigma1_sq, allocation)
-    z = normal_quantile(1.0 - alpha) + normal_quantile(1.0 - beta)
+    z = -(normal_quantile(alpha) + normal_quantile(beta))
     r = allocation
     return (1.0 + r) * (sigma0_sq + sigma1_sq / r) * (z / tau) ** 2
 
@@ -210,7 +210,10 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     information per participant. Each step tilts the boundary solve's null
     pass to eta (see ``sequential._Tilt``), O(n) per stage with no density
     recursion. The search works on the probit scale of the power, which is
-    close to linear in eta, and starts at the single-stage eta =
+    close to linear in eta, taken as minus the probit of the summed accept
+    probabilities so that it keeps its precision as beta -> 0 (a rejection
+    probability of 1 - 1e-12 keeps only about four digits of its distance
+    from one). It starts at the single-stage eta =
     z_{1-alpha} + z_{1-beta}: a level-alpha test never beats the
     single-stage test at its own size, so that eta lies below the root. The
     first step goes 1.2 probit gaps past it; if that still falls short, the
@@ -237,7 +240,7 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
         )
     eta_max = math.sqrt(_MAX_INFLATION) * eta_ref
 
-    z_power = normal_quantile(1.0 - spec.beta)
+    z_beta = normal_quantile(spec.beta)
 
     tilt = _Tilt(bounds._null_tables, rho, bounds.efficacy, bounds.futility)
 
@@ -251,7 +254,7 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
         return exit_probabilities(problem, nodes=nodes)
 
     def power_gap(eta: float) -> float:
-        return _clipped_probit(exits(eta).total_reject) - z_power
+        return z_beta - _clipped_probit(sum(exits(eta).accept_per_stage))
 
     lo = eta_ref
     gap = power_gap(lo)

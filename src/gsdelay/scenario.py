@@ -356,8 +356,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         if "format" in out:
             e = out["format"]
             out_format = e.value.lower()
-            if out_format not in ("csv", "json", "text"):
-                raise ScenarioError(f"format must be csv, json or text, got {e.value!r}", e.line)
+            if out_format not in ("csv", "json"):
+                raise ScenarioError(f"format must be csv or json, got {e.value!r}", e.line)
         if "path" in out:
             out_path = out["path"].value
 

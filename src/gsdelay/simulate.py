@@ -4,8 +4,13 @@ Trials are replayed path-wise on simulated sequential z-statistics with the
 canonical covariance (independent score increments), entirely independent of
 the quadrature recursion, so the two can validate each other. Replicates are
 generated in fixed-size blocks with per-block substreams spawned from the
-seed; block results are merged in block order, so estimates are bit-identical
-for a given seed regardless of how many worker threads are used.
+seed. Each block tallies its paths by exit stage, the first k with
+Z_k > e_k or Z_k <= f_k (f_K = e_K, so every path stops by stage K), and
+counts the rejections among them. A trial's sample size and duration depend
+only on its exit stage, so the two count vectors are sufficient: every
+estimate and standard error follows from their sums. The blocks' counts are
+summed in block order, so estimates are bit-identical for a given seed
+regardless of how many worker threads are used.
 """
 
 from __future__ import annotations
@@ -71,63 +76,17 @@ class SimResult:
         return sum(self.reject_per_stage)
 
 
-def _stage_arrays(config: SimConfig):
-    design = config.design
-    K = design.num_stages
-    info = np.asarray(design.info_levels)
-    e = np.asarray(design.boundaries.efficacy)
-    f = np.asarray(design.boundaries.futility)
-    mu = design.spec.evaluation_effect if config.mu is None else config.mu
-
-    # sample size consumed / duration reached when stopping at each stage
-    consumed = np.asarray(design.stage_n, dtype=float)
-    durations = None
-    if config.delay is not None:
-        profile = pipeline_counts(design, config.delay.model, config.delay.m)
-        consumed = consumed + np.asarray(profile.pipeline)
-        durations = (
-            np.asarray(profile.recruit_times)
-            + config.delay.m
-            + config.delay.m_interim
-        )
-    return K, info, e, f, mu, consumed, durations
-
-
-def _simulate_z_block(rng, n, K, info, mu):
-    """Sequential z-paths from independent score increments, shape (n, K)."""
-    d_info = np.diff(np.concatenate(([0.0], info)))
-    increments = rng.standard_normal((n, K)) * np.sqrt(d_info) + mu * d_info
-    return np.cumsum(increments, axis=1) / np.sqrt(info)
-
-
-def _run_block(seed_seq, size, stage_data):
-    K, info, e, f, mu, consumed, durations = stage_data
+def _tally(seed_seq, size: int, info, e, f, mu: float):
+    """Paths of one block stopping at each stage, and those of them that reject."""
     rng = np.random.default_rng(seed_seq)
-    z = _simulate_z_block(rng, size, K, info, mu)
-
-    active = np.ones(size, dtype=bool)
-    accept_counts = np.zeros(K, dtype=np.int64)
-    reject_counts = np.zeros(K, dtype=np.int64)
-    n_sum = 0.0
-    n_sq_sum = 0.0
-    t_sum = 0.0
-    t_sq_sum = 0.0
-    for k in range(K):
-        zk = z[active, k]
-        rejected = zk > e[k]
-        accepted = zk <= f[k] if k < K - 1 else ~rejected
-        stopping = rejected | accepted
-        reject_counts[k] = int(rejected.sum())
-        accept_counts[k] = int(accepted.sum())
-        stopped_here = int(stopping.sum())
-        n_sum += consumed[k] * stopped_here
-        n_sq_sum += consumed[k] ** 2 * stopped_here
-        if durations is not None:
-            t_sum += durations[k] * stopped_here
-            t_sq_sum += durations[k] ** 2 * stopped_here
-        idx = np.flatnonzero(active)
-        active[idx[stopping]] = False
-    return accept_counts, reject_counts, n_sum, n_sq_sum, t_sum, t_sq_sum
+    K = info.size
+    d_info = np.diff(np.concatenate(([0.0], info)))
+    increments = rng.standard_normal((size, K)) * np.sqrt(d_info) + mu * d_info
+    z = np.cumsum(increments, axis=1) / np.sqrt(info)
+    rejects = z > e
+    exit_stage = (rejects | (z <= f)).argmax(axis=1)
+    rejected = rejects[np.arange(size), exit_stage]
+    return np.bincount(exit_stage, minlength=K), np.bincount(exit_stage[rejected], minlength=K)
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimResult:
@@ -135,54 +94,54 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
 
     Deterministic for a fixed seed and independent of ``threads``.
     """
-    stage_data = _stage_arrays(config)
+    design = config.design
+    mu = design.spec.evaluation_effect if config.mu is None else config.mu
+    bounds = design.boundaries
+    paths = (np.asarray(design.info_levels), np.asarray(bounds.efficacy),
+             np.asarray(bounds.futility), mu)
+    # sample size consumed / duration reached when stopping at each stage
+    consumed = np.asarray(design.stage_n, dtype=float)
+    durations = None
+    if config.delay is not None:
+        profile = pipeline_counts(design, config.delay.model, config.delay.m)
+        consumed = consumed + np.asarray(profile.pipeline)
+        durations = np.asarray(profile.recruit_times) + config.delay.m + config.delay.m_interim
+
     R = config.replicates
     sizes = [_BLOCK_SIZE] * (R // _BLOCK_SIZE)
     if R % _BLOCK_SIZE:
         sizes.append(R % _BLOCK_SIZE)
     children = np.random.SeedSequence(config.seed).spawn(len(sizes))
-
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(lambda c, s: _run_block(c, s, stage_data), children, sizes))
+            tallies = list(pool.map(lambda c, s: _tally(c, s, *paths), children, sizes))
     else:
-        results = [_run_block(c, s, stage_data) for c, s in zip(children, sizes)]
-
-    K = stage_data[0]
-    accept_counts = np.zeros(K, dtype=np.int64)
-    reject_counts = np.zeros(K, dtype=np.int64)
-    n_sum = n_sq_sum = t_sum = t_sq_sum = 0.0
-    for acc, rej, ns, nss, ts, tss in results:
-        accept_counts += acc
-        reject_counts += rej
-        n_sum += ns
-        n_sq_sum += nss
-        t_sum += ts
-        t_sq_sum += tss
+        tallies = [_tally(c, s, *paths) for c, s in zip(children, sizes)]
+    stops = sum(t[0] for t in tallies)
+    rejects = sum(t[1] for t in tallies)
 
     def rate_and_se(counts):
         p = counts / R
         return p, np.sqrt(p * (1.0 - p) / R)
 
-    p_acc, se_acc = rate_and_se(accept_counts)
-    p_rej, se_rej = rate_and_se(reject_counts)
-    mean_n = n_sum / R
-    var_n = max(n_sq_sum / R - mean_n**2, 0.0)
-    se_n = float(np.sqrt(var_n / R))
+    p_acc, se_acc = rate_and_se(stops - rejects)
+    p_rej, se_rej = rate_and_se(rejects)
+    p_stop = stops / R
 
-    mean_t = se_t = None
-    if config.delay is not None:
-        mean_t = t_sum / R
-        var_t = max(t_sq_sum / R - mean_t**2, 0.0)
-        se_t = float(np.sqrt(var_t / R))
+    def mean_and_se(x):
+        # x holds the value at each exit stage; the variance is taken about the mean
+        mean = float(np.dot(p_stop, x))
+        return mean, float(np.sqrt(np.dot(p_stop, (x - mean) ** 2) / R))
 
+    mean_n, se_n = mean_and_se(consumed)
+    mean_t, se_t = (None, None) if durations is None else mean_and_se(durations)
     return SimResult(
         replicates=R,
         accept_per_stage=tuple(p_acc),
         reject_per_stage=tuple(p_rej),
         se_accept=tuple(se_acc),
         se_reject=tuple(se_rej),
-        mean_sample_size=float(mean_n),
+        mean_sample_size=mean_n,
         se_sample_size=se_n,
         mean_duration=mean_t,
         se_duration=se_t,

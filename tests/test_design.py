@@ -103,6 +103,19 @@ class TestBuildDesign:
         with pytest.raises(ConfigError, match="single-stage size is zero"):
             build_design(wt_spec(3, alpha=0.25, beta=0.75))
 
+    def test_power_near_one_keeps_its_precision(self):
+        # the probit of a rejection probability of 1 - 1e-12 has about four digits
+        spec = wt_spec(5, beta=1e-12)
+        design = build_design(spec)
+        assert design.max_n == pytest.approx(build_design(spec, nodes=1201).max_n, rel=1e-9)
+        assert sum(design.exit.accept_per_stage) == pytest.approx(1e-12, rel=1e-6)
+
+    def test_vanishing_type_ii_error(self):
+        # 1 - 1e-300 rounds to 1, so the search runs on the accept probabilities
+        design = build_design(wt_spec(5, beta=1e-300))
+        assert sum(design.exit.accept_per_stage) == pytest.approx(1e-300, rel=1e-6)
+        assert design.max_n > build_design(wt_spec(5, beta=1e-12)).max_n
+
     def test_mu_eval_defaults_to_tau(self):
         spec = wt_spec(2)
         assert spec.evaluation_effect == spec.tau

@@ -39,7 +39,8 @@ class TestSolveDelta:
 
     def test_rejects_a_period_whose_capacity_underflows(self):
         with pytest.raises(ConfigError, match="^t_max = 5e-324 is too short"):
-            solve_delta(100.0, 5e-324, 1.0)
+            with pytest.warns(UserWarning, match="shorter than one month"):
+                solve_delta(100.0, 5e-324, 1.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigError):

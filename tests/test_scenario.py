@@ -1,6 +1,7 @@
 import pytest
 
 from gsdelay.boundaries import FutilityStyle
+from gsdelay.cli import main
 from gsdelay.errors import ScenarioError
 from gsdelay.scenario import parse_scenario, spacing_for
 
@@ -206,6 +207,20 @@ class TestLibraryRulesWithLineNumbers:
         text = "[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk = 3\nrho = 0.5 1\nfamily = wt\n"
         with pytest.raises(ScenarioError, match="line 6: rho: expected 3 information fractions, got 2"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("value", ["text", "xml"])
+    def test_output_format_other_than_csv_or_json_carries_line_number(self, value):
+        text = FULL.replace("format = csv", f"format = {value}")
+        line = text.splitlines().index(f"format = {value}") + 1
+        with pytest.raises(ScenarioError, match=f"^line {line}: format must be csv or json, got '{value}'"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    def test_cli_exits_2_on_an_output_format_other_than_csv_or_json(self, tmp_path, capsys, command):
+        path = tmp_path / "scenario.ini"
+        path.write_text(FULL.replace("k = 2 3 4 5", "k = 2").replace("format = csv", "format = text"))
+        assert main([command, "--scenario", str(path)]) == 2
+        assert "format must be csv or json" in capsys.readouterr().err
 
 
 class TestSpacings:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gsdelay.delay import DelayQuery, assess_delay
+from gsdelay.boundaries import FutilityStyle, WangTsiatis
 from gsdelay.design import DesignSpec, build_design
 from gsdelay.errors import ConfigError
-from gsdelay.recruitment import RecruitmentModel
+from gsdelay.recruitment import RecruitmentModel, pipeline_counts
 from gsdelay.simulate import SimConfig, simulate
 
 # the package exports the function simulate under the module's name
@@ -68,13 +69,50 @@ class TestAgainstAnalytic:
         assert abs(result.mean_duration - assessment.et) <= 3 * result.se_duration
 
 
+@pytest.mark.parametrize("style", list(FutilityStyle))
+def test_tally_matches_a_per_path_replay(style):
+    """One block's exit-stage tally gives what replaying every path gives."""
+    design = build_design(
+        DesignSpec(alpha=0.05, beta=0.1, tau=0.5, num_stages=4, family=WangTsiatis(0.0), futility=style)
+    )
+    query = DelayQuery(m=5.0, model=RecruitmentModel.mixed(24.0, 0.3), m_interim=0.5)
+    R, mu = 4000, 0.3
+    result = simulate(SimConfig(design=design, replicates=R, seed=SEED, delay=query, mu=mu))
+
+    # the block's draws, as simulate makes them
+    info = np.asarray(design.info_levels)
+    d_info = np.diff(np.concatenate(([0.0], info)))
+    rng = np.random.default_rng(np.random.SeedSequence(SEED).spawn(1)[0])
+    z = np.cumsum(rng.standard_normal((R, 4)) * np.sqrt(d_info) + mu * d_info, axis=1) / np.sqrt(info)
+
+    profile = pipeline_counts(design, query.model, query.m)
+    e, f = design.boundaries.efficacy, design.boundaries.futility
+    accept, reject = [0] * 4, [0] * 4
+    sizes, durations = [], []
+    for path in z:
+        for k in range(4):
+            if path[k] > e[k] or path[k] <= f[k]:
+                break
+        (reject if path[k] > e[k] else accept)[k] += 1
+        sizes.append(design.stage_n[k] + profile.pipeline[k])
+        durations.append(profile.recruit_times[k] + query.m + query.m_interim)
+
+    assert result.accept_per_stage == tuple(np.array(accept) / R)
+    assert result.reject_per_stage == tuple(np.array(reject) / R)
+    for mean, se, values in (
+        (result.mean_sample_size, result.se_sample_size, sizes),
+        (result.mean_duration, result.se_duration, durations),
+    ):
+        assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+        assert se == pytest.approx(np.std(values, ddof=0) / np.sqrt(R), rel=1e-12, abs=0)
+
+
 class TestValidation:
     def test_rejects_bad_config(self, table_design):
         with pytest.raises(ConfigError):
             SimConfig(design=table_design(2), replicates=0, seed=1)
         with pytest.raises(ConfigError):
             SimConfig(design=table_design(2), replicates=10, seed=-1)
-
 
 
 def test_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, table_design):
