@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .delay import DelayQuery
 from .design import build_design, round_for_report
@@ -176,8 +177,26 @@ def _cmd_verify_tables(args) -> int:
     return 0 if failed == 0 else 3
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 2 with one line, like the other errors."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsdelay",
         description="Group-sequential design and the efficiency cost of delayed outcomes",
     )
@@ -192,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file path")
     p.add_argument("--out", help="output path (defaults to the scenario's output path)")
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("case-study", help="emit the built-in case-study table")
@@ -204,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario file path")
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=20240814)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("verify-tables", help="recompute the bundled reference tables")
@@ -217,14 +236,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolveError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    # warnings (a sub-month ramp, say) are reported once each, on one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.run(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except SolveError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            code = 3
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,14 @@ the trial stops there. The delay-adjusted expected sample size counts them
 at every possible stopping stage; comparing the resulting efficiency gain
 with the undelayed one gives the percentage of the gain lost to delay, which
 can exceed 100 when the delayed design is worse than a single-stage trial.
+
+Everything here is computed by ``_delay_columns`` for a whole grid of delays
+of one (design, recruitment model) pair in one numpy pass: the accrual
+curve, the stage recruit times and the stop probabilities depend only on the
+pair, and each metric is one array operation over the delays. The public
+functions are its one-delay views. Each row is bit for bit what the same
+formulas give evaluated one delay at a time: the expected sample size is
+``np.vecdot``, which sums a row in the same order as ``np.dot`` does.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from .design import GroupSequentialDesign
 from .errors import ConfigError
-from .recruitment import PipelineProfile, RecruitmentModel, _check_delay, pipeline_counts
+from .recruitment import PipelineProfile, RecruitmentModel, _check_delay, _pipeline
 
 __all__ = [
     "DelayQuery",
@@ -62,22 +70,72 @@ class DelayAssessment:
     et_single: float
 
 
+@dataclass(frozen=True)
+class _DelayColumns:
+    """Delay-adjusted metrics of one design, one entry per delay.
+
+    pipeline is (M, K); el is None when the design gains nothing (eg <= 0).
+    """
+
+    pipeline: np.ndarray
+    recruit_times: tuple[float, ...]
+    ess_delay: np.ndarray
+    eg_delay: np.ndarray
+    el: np.ndarray | None
+    et: np.ndarray
+    t_single: float
+    et_single: np.ndarray
+
+
+def _ess_delay(design: GroupSequentialDesign, pipeline: np.ndarray) -> np.ndarray:
+    """Expected sample size counting pipeline participants, per row of pipeline.
+
+    The same sum as the design's ess, so a zero pipeline reproduces it bit
+    for bit (the final stage has no pipeline).
+    """
+    return np.vecdot(np.asarray(design.stage_n) + pipeline, design.exit.stop_per_stage)
+
+
+def _gain_and_loss(design: GroupSequentialDesign, essd):
+    """The delayed efficiency gain, and the percentage of the gain lost (None if eg <= 0)."""
+    eg_delay = (design.n_single - essd) / design.n_single
+    eg = design.eg
+    return eg_delay, (100.0 * (eg - eg_delay) / eg if eg > 0 else None)
+
+
+def _delay_columns(
+    design: GroupSequentialDesign, model: RecruitmentModel, ms, m_interim: float
+) -> _DelayColumns:
+    """Delay assessment of one design under one recruitment model, for every delay in ms.
+
+    The expected completion time is m + m_interim + sum_k t_k * S_k, and the
+    single-stage trial recruits at the same rate and completes at
+    t_single + m.
+    """
+    _check_delay("m_interim", m_interim)
+    pipeline, times = _pipeline(design, model, ms)
+    essd = _ess_delay(design, pipeline)
+    eg_delay, el = _gain_and_loss(design, essd)
+    m = np.asarray(ms, dtype=float)
+    stop = design.exit.stop_per_stage
+    t_single = design.n_single * model.t_max / design.max_n
+    return _DelayColumns(
+        pipeline=pipeline,
+        recruit_times=times,
+        ess_delay=essd,
+        eg_delay=eg_delay,
+        el=el,
+        et=m + m_interim + sum(t * s for t, s in zip(times, stop)),
+        t_single=t_single,
+        et_single=t_single + m,
+    )
+
+
 def ess_delay(design: GroupSequentialDesign, profile: PipelineProfile) -> float:
     """Expected sample size counting pipeline participants at interim stops."""
-    K = design.num_stages
-    if len(profile.pipeline) != K:
+    if len(profile.pipeline) != design.num_stages:
         raise ConfigError("pipeline profile does not match the design's stage count")
-    # same dot-product evaluation as the design's ess, so a zero profile
-    # reproduces it bit for bit (the final stage has no pipeline)
-    consumed = np.asarray(design.stage_n) + np.asarray(profile.pipeline)
-    return float(np.dot(design.exit.stop_per_stage, consumed))
-
-
-def _loss(design: GroupSequentialDesign, eg_delay: float) -> float | None:
-    eg = design.eg
-    if eg <= 0:
-        return None
-    return 100.0 * (eg - eg_delay) / eg
+    return float(_ess_delay(design, np.asarray(profile.pipeline)))
 
 
 def efficiency_loss(design: GroupSequentialDesign, profile: PipelineProfile) -> float | None:
@@ -86,17 +144,7 @@ def efficiency_loss(design: GroupSequentialDesign, profile: PipelineProfile) -> 
     Returns None when the design gains nothing over the single-stage test
     (eg <= 0), where the loss percentage is undefined.
     """
-    essd = ess_delay(design, profile)
-    return _loss(design, (design.n_single - essd) / design.n_single)
-
-
-def _completion_times(
-    design: GroupSequentialDesign, query: DelayQuery, recruit_times
-) -> tuple[float, float, float]:
-    stop = design.exit.stop_per_stage
-    et = query.m + query.m_interim + sum(t * s for t, s in zip(recruit_times, stop))
-    t_single = design.n_single * query.model.t_max / design.max_n
-    return et, t_single, t_single + query.m
+    return _gain_and_loss(design, ess_delay(design, profile))[1]
 
 
 def expected_time(
@@ -108,23 +156,20 @@ def expected_time(
     m + m_interim + sum_k t_k * S_k, the single-stage recruitment time at the
     same rate, and the single-stage completion time t_single + m.
     """
-    profile = pipeline_counts(design, query.model, query.m)
-    return _completion_times(design, query, profile.recruit_times)
+    cols = _delay_columns(design, query.model, (query.m,), query.m_interim)
+    return float(cols.et[0]), cols.t_single, float(cols.et_single[0])
 
 
 def assess_delay(design: GroupSequentialDesign, query: DelayQuery) -> DelayAssessment:
     """Full delay assessment of a built design."""
-    profile = pipeline_counts(design, query.model, query.m)
-    essd = ess_delay(design, profile)
-    eg_del = (design.n_single - essd) / design.n_single
-    et, t_single, et_single = _completion_times(design, query, profile.recruit_times)
+    cols = _delay_columns(design, query.model, (query.m,), query.m_interim)
     return DelayAssessment(
-        profile=profile,
-        ess_delay=essd,
+        profile=PipelineProfile(tuple(cols.pipeline[0].tolist()), cols.recruit_times),
+        ess_delay=float(cols.ess_delay[0]),
         eg=design.eg,
-        eg_delay=eg_del,
-        el=_loss(design, eg_del),
-        et=et,
-        t_single=t_single,
-        et_single=et_single,
+        eg_delay=float(cols.eg_delay[0]),
+        el=None if cols.el is None else float(cols.el[0]),
+        et=float(cols.et[0]),
+        t_single=cols.t_single,
+        et_single=float(cols.et_single[0]),
     )

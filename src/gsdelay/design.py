@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +63,11 @@ _MIN_NONCENTRALITY = 1e-290
 
 
 def _check_beta(beta: float) -> float:
-    # negated comparisons so that NaN fails them
-    if not 0.0 < beta < 1.0:
-        raise ConfigError(f"beta = {beta} must lie in (0, 1)")
+    # negated comparisons so that NaN fails them. Below the smallest normal
+    # double the type II error the power search matches underflows: every
+    # accept probability reads 0 and n_max is fixed by nothing.
+    if not sys.float_info.min <= beta < 1.0:
+        raise ConfigError(f"beta = {beta} must lie in [{sys.float_info.min!r}, 1)")
     return beta
 
 

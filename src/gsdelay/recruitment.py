@@ -14,7 +14,9 @@ closed form at real-valued times, so no quantity is forced to an integer.
 The recruitment time of the first n participants is the inverse of N, and
 the pipeline participants at an interim are the expected recruits
 N(t_k + m) - N(t_k) during the outcome-delay window of length m that follows
-it, capped so the trial never exceeds n_max.
+it, capped so the trial never exceeds n_max. N is evaluated elementwise, so
+``_pipeline`` gives the counts for a whole grid of delays in one array pass;
+``pipeline_counts`` is its one-delay view.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .design import GroupSequentialDesign, _check_positive
 from .errors import ConfigError
@@ -131,10 +135,15 @@ class AccrualCurve:
     def ramp_capacity(self) -> float:
         return 0.5 * self.delta * self.ramp_end * (self.ramp_end + 1.0)
 
-    def __call__(self, t: float) -> float:
-        if t <= self.ramp_end:
-            return 0.5 * self.delta * t * (t + 1.0)
-        return self.ramp_capacity + self.rate * (t - self.ramp_end)
+    def __call__(self, t):
+        """N(t), elementwise over an array of times (a numpy float for a scalar)."""
+        t = np.asarray(t, dtype=float)
+        # the ramp branch sees t clipped to the ramp, where np.where keeps it;
+        # a window past the float range reaches inf, which the cap then replaces
+        ramp_t = np.minimum(t, self.ramp_end)
+        with np.errstate(over="ignore"):
+            flat = self.ramp_capacity + self.rate * (t - self.ramp_end)
+        return np.where(t <= self.ramp_end, 0.5 * self.delta * ramp_t * (ramp_t + 1.0), flat)[()]
 
     def time(self, n: float) -> float:
         """Inverse of N: expected months needed to recruit the first n participants."""
@@ -164,6 +173,25 @@ def recruit_time(n: float, n_max: float, model: RecruitmentModel) -> float:
     return accrual_curve(n_max, model).time(n)
 
 
+def _pipeline(design, model: RecruitmentModel, ms) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Expected pipeline participants for each delay in ms, and the stage recruit times.
+
+    Returns an (len(ms), K) array whose row i holds
+    min(N(t_k + m_i) - N(t_k), n_max - n_k) per stage k, with the final stage
+    0 by construction, and the recruit times t_k of the stage sizes.
+    """
+    for m in ms:
+        _check_delay("m", m)
+    n_max = design.max_n
+    curve = accrual_curve(n_max, model)
+    times = tuple(curve.time(n) for n in design.stage_n)
+    t = np.asarray(times)
+    window = curve(t + np.asarray(ms, dtype=float)[:, None]) - curve(t)
+    pipeline = np.minimum(window, n_max - np.asarray(design.stage_n))
+    pipeline[:, -1] = 0.0
+    return pipeline, times
+
+
 def pipeline_counts(
     design: GroupSequentialDesign, model: RecruitmentModel, m: float
 ) -> PipelineProfile:
@@ -172,10 +200,5 @@ def pipeline_counts(
     Counts are capped at n_max - n_k (recruitment stops at n_max) and the
     final analysis has none by construction.
     """
-    _check_delay("m", m)
-    n_max = design.max_n
-    curve = accrual_curve(n_max, model)
-    times = tuple(curve.time(n) for n in design.stage_n)
-    pipeline = [min(curve(t + m) - curve(t), n_max - n) for t, n in zip(times, design.stage_n)]
-    pipeline[-1] = 0.0
-    return PipelineProfile(tuple(pipeline), times)
+    pipeline, times = _pipeline(design, model, (m,))
+    return PipelineProfile(tuple(pipeline[0].tolist()), times)

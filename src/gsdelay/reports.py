@@ -2,7 +2,10 @@
 
 The sweep table is the canonical interchange format: a fixed 17-column schema
 with sample sizes, pipeline counts and efficiency metrics formatted to two
-decimals (gain fractions to four). CSV files carry the full parameter echo in
+decimals (gain fractions to four). A sweep assesses all delays of one
+(design, recruitment model) pair in one call of ``delay._delay_columns`` and
+formats each column of that block at once; the cells are the same strings as
+per-row evaluation gives. CSV files carry the full parameter echo in
 ``# key = value`` comment lines so any output can be traced back to its
 scenario; the JSON format mirrors the CSV one object per row. Output is fully
 deterministic for a given scenario.
@@ -23,10 +26,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from .boundaries import FutilityStyle, WangTsiatis
-from .delay import DelayQuery, assess_delay
+from .delay import DelayQuery, _delay_columns, assess_delay
 from .design import DesignSpec, GroupSequentialDesign, build_design, round_for_report, single_stage_n
 from .errors import ScenarioError
 from .recruitment import RecruitmentModel
@@ -74,14 +80,22 @@ _DESIGN_CACHE_SIZE = 64
 _build_cached = lru_cache(maxsize=_DESIGN_CACHE_SIZE)(build_design)
 
 
-def _fmt(value, places: int = 2) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.{places}f}"
+def _column(values) -> list[str]:
+    """A column of floats (a numpy array) formatted to two decimals."""
+    return [f"{v:.2f}" for v in values.tolist()]
+
+
+def _pipeline_columns(pipeline) -> list:
+    """The pipeline columns of a (M, K) block: two decimals up to stage K, blank after."""
+    num_stages = pipeline.shape[1]
+    return [_column(pipeline[:, k]) for k in range(num_stages)] + [repeat("")] * (
+        MAX_TABLE_STAGES - num_stages
+    )
+
+
+def _el_column(cols):
+    """The efficiency-loss column: blank throughout when the design gains nothing."""
+    return repeat("") if cols.el is None else _column(cols.el)
 
 
 @dataclass
@@ -128,32 +142,24 @@ class ResultTable:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _pipeline_cells(values, num_stages: int) -> list[str]:
-    cells = [""] * MAX_TABLE_STAGES
-    for k in range(num_stages):
-        cells[k] = _fmt(float(values[k]))
-    return cells
-
-
-def _sweep_row(design, spacing, model, m, m_interim) -> tuple[str, ...]:
-    assessment = assess_delay(design, DelayQuery(m=m, model=model, m_interim=m_interim))
-    l_cell = "" if model.pattern == "uniform" else _fmt(model.ramp_fraction)
-    row = [
-        str(design.num_stages),
-        _fmt(float(m), 2),
-        l_cell,
-        spacing,
-        _fmt(design.max_n),
-        _fmt(design.ess),
-        _fmt(assessment.ess_delay),
-        *_pipeline_cells(assessment.profile.pipeline, design.num_stages),
-        _fmt(assessment.eg, 4),
-        _fmt(assessment.eg_delay, 4),
-        _fmt(assessment.el) if assessment.el is not None else "",
-        _fmt(assessment.et),
-        _fmt(assessment.et_single),
-    ]
-    return tuple(row)
+def _sweep_block(design, spacing, model, ms, m_cells, m_interim) -> zip:
+    """The sweep rows of one (design, recruitment model) pair, one per delay in ms."""
+    cols = _delay_columns(design, model, ms, m_interim)
+    return zip(
+        repeat(str(design.num_stages)),
+        m_cells,
+        repeat("" if model.pattern == "uniform" else f"{model.ramp_fraction:.2f}"),
+        repeat(spacing),
+        repeat(f"{design.max_n:.2f}"),
+        repeat(f"{design.ess:.2f}"),
+        _column(cols.ess_delay),
+        *_pipeline_columns(cols.pipeline),
+        repeat(f"{design.eg:.4f}"),
+        [f"{v:.4f}" for v in cols.eg_delay.tolist()],
+        _el_column(cols),
+        _column(cols.et),
+        _column(cols.et_single),
+    )
 
 
 def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
@@ -182,12 +188,12 @@ def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
     else:
         designs = {key: build(key) for key in keys}
 
+    ms = scenario.delays
+    m_cells = _column(np.asarray(ms, dtype=float))
     rows = []
     for key in keys:
-        design = designs[key]
         for model in models:
-            for m in scenario.delays:
-                rows.append(_sweep_row(design, key[1], model, m, scenario.m_interim))
+            rows += _sweep_block(designs[key], key[1], model, ms, m_cells, scenario.m_interim)
     return ResultTable(columns=SWEEP_COLUMNS, rows=rows, parameters=scenario.parameter_echo())
 
 
@@ -217,23 +223,21 @@ def case_study_table() -> ResultTable:
     seven months.
     """
     rows = []
+    model = RecruitmentModel.uniform(_CASE_T_MAX)
     for name, shape in _CASE_FAMILIES:
         for num_stages in (2, 3, 4, 5):
             design = _case_design(shape, num_stages)
-            model = RecruitmentModel.uniform(_CASE_T_MAX)
-            assessment = assess_delay(design, DelayQuery(m=_CASE_M, model=model))
+            cols = _delay_columns(design, model, (_CASE_M,), 0.0)
             stage_cells = [str(n) for n in round_for_report(design)]
             stage_cells += [""] * (MAX_TABLE_STAGES - num_stages)
-            rows.append(
-                (
-                    name,
-                    str(num_stages),
-                    *stage_cells,
-                    *_pipeline_cells(assessment.profile.pipeline, num_stages),
-                    _fmt(design.ess),
-                    _fmt(assessment.ess_delay),
-                    _fmt(assessment.el),
-                )
+            rows += zip(
+                [name],
+                repeat(str(num_stages)),
+                *(repeat(cell) for cell in stage_cells),
+                *_pipeline_columns(cols.pipeline),
+                repeat(f"{design.ess:.2f}"),
+                _column(cols.ess_delay),
+                _el_column(cols),
             )
     parameters = {
         "alpha": repr(_CASE_ALPHA),

@@ -182,6 +182,32 @@ class TestBadInputsExitCleanly:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("beta", ["5e-324", "1e-310"])
+def test_underflowing_beta_names_its_line(scenario_file, capsys, beta):
+    path = scenario_file(DESIGN_SCENARIO.replace("beta = 0.1", f"beta = {beta}"))
+    assert main(["design", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 3: beta = {beta} must lie in") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_must_be_a_positive_integer(scenario_file, capsys, command, threads):
+    path = scenario_file(SWEEP_SCENARIO)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--scenario", path, "--threads", threads])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: argument --threads: must be a positive integer, got {threads!r}\n"
+
+
+def test_warnings_are_one_line_each(scenario_file, capsys):
+    # a 0.6-month ramp warns once per accrual curve; the sweep reports it once
+    text = SWEEP_SCENARIO.replace("pattern = uniform", "pattern = mixed\nl = 0.025")
+    assert main(["sweep", "--scenario", scenario_file(text)]) == 0
+    assert capsys.readouterr().err == "warning: ramp phase shorter than one month (l*t_max = 0.6)\n"
+
+
 def test_infinite_delta_names_its_line(scenario_file, capsys):
     path = scenario_file(DESIGN_SCENARIO.replace("delta = 0.25", "delta = inf"))
     assert main(["design", "--scenario", path]) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ class TestBuildDesign:
         design = build_design(wt_spec(5, beta=1e-300))
         assert sum(design.exit.accept_per_stage) == pytest.approx(1e-300, rel=1e-6)
         assert design.max_n > build_design(wt_spec(5, beta=1e-12)).max_n
+
+    @pytest.mark.parametrize("beta", [5e-324, 1e-310])
+    def test_type_ii_error_below_the_normal_range_is_refused(self, beta):
+        # the accept probabilities would all underflow to 0, leaving n_max unfixed
+        with pytest.raises(ConfigError, match=f"^beta = {beta!r} must lie in"):
+            wt_spec(5, beta=beta)
+
+    def test_smallest_normal_type_ii_error_is_accepted(self):
+        assert wt_spec(5, beta=sys.float_info.min).beta == sys.float_info.min
+        assert build_design(wt_spec(5, beta=1e-300)).max_n == pytest.approx(109_799, rel=1e-5)
 
     def test_mu_eval_defaults_to_tau(self):
         spec = wt_spec(2)
