@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -51,7 +52,8 @@ def _cmd_design(args) -> int:
             "achieved_alpha": design.boundaries.achieved_alpha,
             "info_fractions": list(design.spec.fractions),
             "efficacy": list(design.boundaries.efficacy),
-            "futility": list(design.boundaries.futility),
+            # an absent futility bound (-inf) is null: standard JSON has no infinity
+            "futility": [f if f > -math.inf else None for f in design.boundaries.futility],
             "n_single": design.n_single,
             "n_max": design.max_n,
             "stage_n": list(design.stage_n),

@@ -98,6 +98,25 @@ class PipelineProfile:
     recruit_times: tuple[float, ...]
 
 
+def _capacity(t_max: float, ramp_fraction: float) -> float:
+    """Participants the mixed model recruits over its period per unit of the rate slope delta."""
+    ramp_end = ramp_fraction * t_max
+    return 0.5 * ramp_end * (ramp_end + 1.0) + ramp_end * (1.0 - ramp_fraction) * t_max
+
+
+def _check_unit_rate(model: RecruitmentModel) -> RecruitmentModel:
+    """The rate slope that recruits a single participant must be positive and finite.
+
+    That slope is 1 / t_max (uniform) or 1 / capacity (mixed). The rule needs
+    no n_max, so a scenario can be checked before any design is built; the
+    slope for n_max participants can still overflow when its curve is built.
+    """
+    span = model.t_max if model.pattern == "uniform" else _capacity(model.t_max, model.ramp_fraction)
+    if not (span > 0.0 and 0.0 < 1.0 / span < math.inf):
+        raise ConfigError(f"the accrual rate of {model} is outside the float range for one participant")
+    return model
+
+
 def solve_delta(n_max: float, t_max: float, ramp_fraction: float) -> float:
     """Rate slope of the mixed model so the period recruits exactly n_max.
 
@@ -112,7 +131,7 @@ def solve_delta(n_max: float, t_max: float, ramp_fraction: float) -> float:
         warnings.warn(
             f"ramp phase shorter than one month (l*t_max = {ramp_end:.3g})", stacklevel=2
         )
-    total = 0.5 * ramp_end * (ramp_end + 1.0) + ramp_end * (1.0 - ramp_fraction) * t_max
+    total = _capacity(t_max, ramp_fraction)
     if not total > 0.0:
         # a subnormal t_max underflows the period's capacity to zero
         raise ConfigError(f"t_max = {t_max} is too short: the recruitment capacity underflows")

@@ -3,9 +3,15 @@
 A scenario is an INI-like document with [design], [recruitment], [delay] and
 [output] sections holding `key = value` lines. Values may be scalars or
 space/comma-separated lists; fractions like 1/3 are accepted wherever a real
-number is. The parser checks syntax, keys and cross-key rules; each value's
-range is checked by the library rule that owns it, whose message is re-raised
-with the line number: ``line 2: alpha = 0.75 must lie in (0, 0.5)``.
+number is. The parser checks syntax and keys, then reads every key through
+one of three readers: a number, a list (each token in turn) or a choice among
+names. Each reader applies the library rule that owns the value and
+re-raises its message with the line number:
+``line 2: alpha = 0.75 must lie in (0, 0.5)``. A missing required key, an
+empty list and a name outside a choice each have one message. The rules that
+span keys are checked last: the sizes of every design, on the line of tau,
+and the accrual rate of one participant under each recruitment model, on the
+line of l (mixed) or t_max.
 
 Example::
 
@@ -46,7 +52,7 @@ from .boundaries import (
 )
 from .design import DesignSpec, _check_beta, _check_finite, _check_positive
 from .errors import ConfigError, ScenarioError
-from .recruitment import RecruitmentModel, _check_delay, _check_ramp_fraction
+from .recruitment import RecruitmentModel, _check_delay, _check_ramp_fraction, _check_unit_rate
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "INTERIM_SPACINGS", "spacing_for"]
 
@@ -72,6 +78,9 @@ _KNOWN_KEYS = {
     "delay": {"m", "m_interim"},
     "output": {"format", "path"},
 }
+
+# Spellings a choice accepts beside the names its message lists.
+_ALIASES = {"wt": "wang-tsiatis"}
 
 
 def spacing_for(num_stages: int, label: str) -> tuple[float, ...]:
@@ -181,6 +190,13 @@ def _real(token: str, line: int, key: str) -> float:
         raise ScenarioError(f"{key}: {token!r} is not a number", line) from None
 
 
+def _integer(token: str, line: int, key: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ScenarioError(f"{key}: {token!r} is not an integer", line) from None
+
+
 def _parse_sections(text: str, source: str) -> dict[str, dict[str, _Entry]]:
     sections: dict[str, dict[str, _Entry]] = {}
     current: str | None = None
@@ -214,12 +230,13 @@ def _parse_sections(text: str, source: str) -> dict[str, dict[str, _Entry]]:
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse and validate a scenario document."""
     sections = _parse_sections(text, source)
-    design = sections["design"]
 
-    def need(section: dict[str, _Entry], key: str) -> _Entry:
-        if key not in section:
-            raise ScenarioError(f"{source}: missing required key {key!r} in [design]")
-        return section[key]
+    def get(section: str, key: str, required: bool = False) -> _Entry | None:
+        """A key's entry; None when it is absent and not required."""
+        entry = sections.get(section, {}).get(key)
+        if entry is None and required:
+            raise ScenarioError(f"{source}: missing required key {key!r} in [{section}]")
+        return entry
 
     def checked(entry: _Entry, rule, *args):
         """Apply a library rule, re-raising its ConfigError with the entry's line."""
@@ -228,161 +245,118 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         except ConfigError as exc:
             raise ScenarioError(str(exc), entry.line) from None
 
-    def real(entry: _Entry, key: str, rule, *names) -> float:
+    def number(section: str, key: str, rule, *names, required=False, default=None):
+        """A real value through its library rule; default when the key is absent."""
+        entry = get(section, key, required)
+        if entry is None:
+            return default
         return checked(entry, rule, *names, _real(entry.value, entry.line, key))
 
-    alpha = real(need(design, "alpha"), "alpha", _check_alpha)
-    beta = real(need(design, "beta"), "beta", _check_beta)
-    tau = real(need(design, "tau"), "tau", _check_positive, "tau")
-    mu = None
-    if "mu" in design:
-        mu = real(design["mu"], "mu", _check_finite, "mu")
+    def listed(section: str, key: str, what: str, rule, *names, required=False, read=_real):
+        """Each token of a list through its library rule; () when the key is absent."""
+        entry = get(section, key, required)
+        if entry is None:
+            return ()
+        values = tuple(
+            checked(entry, rule, *names, read(t, entry.line, key)) for t in _tokenize(entry.value)
+        )
+        if not values:
+            raise ScenarioError(f"{key}: at least one {what} is required", entry.line)
+        return values
 
-    e = need(design, "k")
-    stages = []
-    for token in _tokenize(e.value):
-        try:
-            k = int(token)
-        except ValueError:
-            raise ScenarioError(f"k: {token!r} is not an integer", e.line) from None
-        stages.append(checked(e, _check_stages, k))
-    if not stages:
-        raise ScenarioError("k: at least one stage count is required", e.line)
+    def choice(section: str, key: str, options: tuple[str, ...], required=False) -> str | None:
+        """The lower-cased value, one of options; None when the key is absent."""
+        entry = get(section, key, required)
+        if entry is None:
+            return None
+        value = _ALIASES.get(entry.value.lower(), entry.value.lower())
+        if value not in options:
+            names = f"{', '.join(options[:-1])} or {options[-1]}"
+            raise ScenarioError(f"{key} must be {names}, got {entry.value!r}", entry.line)
+        return value
+
+    alpha = number("design", "alpha", _check_alpha, required=True)
+    beta = number("design", "beta", _check_beta, required=True)
+    tau = number("design", "tau", _check_positive, "tau", required=True)
+    mu = number("design", "mu", _check_finite, "mu")
+    stages = listed("design", "k", "stage count", _check_stages, required=True, read=_integer)
 
     rho = None
-    if "rho" in design:
-        e = design["rho"]
-        values = tuple(_real(t, e.line, "rho") for t in _tokenize(e.value))
+    if (e := get("design", "rho")) is not None:
+        rho = tuple(_real(t, e.line, "rho") for t in _tokenize(e.value))
         if len(stages) != 1:
             raise ScenarioError("rho cannot be combined with a list of stage counts", e.line)
         try:
-            _check_fractions(values, stages[0])
+            _check_fractions(rho, stages[0])
         except ConfigError as exc:
             raise ScenarioError(f"rho: {exc}", e.line) from None
-        rho = values
 
-    spacings: tuple[str, ...] = ("equal",)
-    if "spacing" in design:
-        e = design["spacing"]
-        if rho is not None:
-            raise ScenarioError("spacing cannot be combined with an explicit rho", e.line)
-        labels = tuple(t.lower() for t in _tokenize(e.value))
-        if not labels:
-            raise ScenarioError("spacing: at least one label is required", e.line)
-        for label in labels:
-            for k in stages:
-                checked(e, spacing_for, k, label)
-        spacings = labels
+    def spacing_rule(label: str) -> str:
+        for k in stages:
+            spacing_for(k, label)
+        return label
 
-    e = need(design, "family")
-    family = e.value.lower()
-    if family in ("wang-tsiatis", "wt"):
-        family = "wang-tsiatis"
-    elif family != "hsd":
-        raise ScenarioError(f"family must be wang-tsiatis or hsd, got {e.value!r}", e.line)
+    if rho is not None and (e := get("design", "spacing")) is not None:
+        raise ScenarioError("spacing cannot be combined with an explicit rho", e.line)
+    spacings = listed("design", "spacing", "label", spacing_rule, read=lambda t, *_: t.lower())
 
-    shape = gamma = None
-    if "delta" in design:
-        e = design["delta"]
-        if family != "wang-tsiatis":
-            raise ScenarioError("delta only applies to the wang-tsiatis family", e.line)
-        shape = real(e, "delta", WangTsiatis).shape
-    if "gamma" in design:
-        e = design["gamma"]
-        if family != "hsd":
-            raise ScenarioError("gamma only applies to the hsd family", e.line)
-        gamma = real(e, "gamma", HwangShihDeCani).gamma
-    if family == "hsd" and gamma is None:
-        raise ScenarioError(f"{source}: the hsd family requires a gamma value")
-
-    futility = FutilityStyle.BINDING_ZERO
-    if "futility" in design:
-        e = design["futility"]
-        try:
-            futility = FutilityStyle(e.value.lower())
-        except ValueError:
-            valid = ", ".join(s.value for s in FutilityStyle)
-            raise ScenarioError(f"futility must be one of {valid}", e.line) from None
-
-    allocation = 1.0
-    if "allocation" in design:
-        allocation = real(design["allocation"], "allocation", _check_positive, "allocation")
+    family = choice("design", "family", ("wang-tsiatis", "hsd"), required=True)
+    for key, owner in (("delta", "wang-tsiatis"), ("gamma", "hsd")):
+        if (e := get("design", key)) is not None and family != owner:
+            raise ScenarioError(f"{key} only applies to the {owner} family", e.line)
+    shape = number("design", "delta", lambda v: WangTsiatis(v).shape)
+    gamma = number("design", "gamma", lambda v: HwangShihDeCani(v).gamma, required=family == "hsd")
+    futility = choice("design", "futility", tuple(s.value for s in FutilityStyle))
+    allocation = number("design", "allocation", _check_positive, "allocation", default=1.0)
 
     pattern = t_max = None
     ramp_fractions: tuple[float, ...] = ()
     if "recruitment" in sections:
-        rec = sections["recruitment"]
-        if "pattern" not in rec:
-            raise ScenarioError(f"{source}: [recruitment] requires a pattern")
-        e = rec["pattern"]
-        pattern = e.value.lower()
-        if pattern not in ("uniform", "mixed", "linear"):
-            raise ScenarioError(f"pattern must be uniform, mixed or linear, got {e.value!r}", e.line)
-        if "t_max" not in rec:
-            raise ScenarioError(f"{source}: [recruitment] requires t_max")
-        t_max = real(rec["t_max"], "t_max", _check_positive, "t_max")
-        if pattern == "mixed":
-            if "l" not in rec:
-                raise ScenarioError(f"{source}: mixed recruitment requires l")
-            e = rec["l"]
-            ramp_fractions = tuple(
-                checked(e, _check_ramp_fraction, _real(t, e.line, "l")) for t in _tokenize(e.value)
-            )
-            if not ramp_fractions:
-                raise ScenarioError("l: at least one value is required", e.line)
-        elif pattern == "linear":
-            if "l" in rec:
-                raise ScenarioError("l is implied by the linear pattern", rec["l"].line)
-            pattern = "mixed"
-            ramp_fractions = (1.0,)
+        pattern = choice("recruitment", "pattern", ("uniform", "mixed", "linear"), required=True)
+        t_max = number("recruitment", "t_max", _check_positive, "t_max", required=True)
+        e = get("recruitment", "l", required=pattern == "mixed")
+        if e is not None and pattern == "linear":
+            raise ScenarioError("l is implied by the linear pattern", e.line)
+        if e is not None and pattern == "uniform":
+            raise ScenarioError("l only applies to mixed recruitment", e.line)
+        ramp_fractions = listed("recruitment", "l", "value", _check_ramp_fraction)
+        if pattern == "linear":
+            pattern, ramp_fractions = "mixed", (1.0,)
 
-    delays: tuple[float, ...] = ()
-    m_interim = 0.0
-    if "delay" in sections:
-        dly = sections["delay"]
-        if "m" in dly:
-            e = dly["m"]
-            delays = tuple(
-                checked(e, _check_delay, "m", _real(t, e.line, "m")) for t in _tokenize(e.value)
-            )
-            if not delays:
-                raise ScenarioError("m: at least one delay length is required", e.line)
-        if "m_interim" in dly:
-            m_interim = real(dly["m_interim"], "m_interim", _check_delay, "m_interim")
-
-    out_format = out_path = None
-    if "output" in sections:
-        out = sections["output"]
-        if "format" in out:
-            e = out["format"]
-            out_format = e.value.lower()
-            if out_format not in ("csv", "json"):
-                raise ScenarioError(f"format must be csv or json, got {e.value!r}", e.line)
-        if "path" in out:
-            out_path = out["path"].value
-
-    return Scenario(
+    out_path = get("output", "path")
+    scenario = Scenario(
         alpha=alpha,
         beta=beta,
         tau=tau,
         mu=mu,
-        stages=tuple(stages),
-        spacings=spacings,
+        stages=stages,
+        spacings=spacings or ("equal",),
         rho=rho,
         family=family,
         shape=shape,
         gamma=gamma,
-        futility=futility,
+        futility=FutilityStyle(futility or FutilityStyle.BINDING_ZERO),
         allocation=allocation,
         pattern=pattern,
         t_max=t_max,
         ramp_fractions=ramp_fractions,
-        delays=delays,
-        m_interim=m_interim,
-        out_format=out_format,
-        out_path=out_path,
+        delays=listed("delay", "m", "delay length", _check_delay, "m"),
+        m_interim=number("delay", "m_interim", _check_delay, "m_interim", default=0.0),
+        out_format=choice("output", "format", ("csv", "json")),
+        out_path=out_path.value if out_path is not None else None,
         source=source,
     )
+
+    # the rules that span keys: the sizes each design implies, on the line of
+    # tau, and the accrual rate of one participant, on the line of l or t_max
+    for k in stages:
+        for spacing in scenario.spacings:
+            checked(get("design", "tau"), scenario.design_spec, k, spacing)
+    if pattern is not None:
+        rate_entry = get("recruitment", "l") or get("recruitment", "t_max")
+        for model in scenario.recruitment_models():
+            checked(rate_entry, _check_unit_rate, model)
+    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -54,6 +54,18 @@ class TestDesignCommand:
         assert payload["n_max"] == pytest.approx(145.05, abs=0.2)
         assert payload["eg"] == pytest.approx(0.2276, abs=0.002)
 
+    @pytest.mark.parametrize("style", ["binding-zero", "symmetric", "none"])
+    def test_json_is_standard(self, scenario_file, capsys, style):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        path = scenario_file(DESIGN_SCENARIO.replace("binding-zero", style).replace("k = 2", "k = 3"))
+        assert main(["design", "--scenario", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        interim = payload["futility"][:-1]
+        # an absent futility bound is null
+        assert (interim == [None, None]) == (style == "none")
+
     def test_single_stage_reports_zero_gain(self, scenario_file, capsys):
         path = scenario_file(DESIGN_SCENARIO.replace("k = 2", "k = 1"))
         assert main(["design", "--scenario", path, "--format", "json"]) == 0
@@ -239,7 +251,7 @@ def scenario_texts(draw):
         lines += ["family = wang-tsiatis", f"delta = {draw(_value(0.0, 0.5))}"]
     pattern = draw(st.sampled_from(("uniform", "mixed", "linear")))
     lines += ["[recruitment]", f"pattern = {pattern}", f"t_max = {draw(_value(6.0, 48.0))}"]
-    if pattern == "mixed":
+    if pattern == "mixed" or draw(st.booleans()):
         lines.append(f"l = {draw(_value(0.0, 1.0))}")
     lines += [
         "[delay]",
@@ -260,3 +272,9 @@ def test_generated_scenarios_exit_cleanly(text):
             code = main(["sweep", "--scenario", str(path)])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code:
+        # one error line; any other line is a warning
+        lines = err.getvalue().splitlines()
+        failures = [line for line in lines if line.startswith(("error: ", "numerical failure: "))]
+        assert len(failures) == 1
+        assert all(line.startswith("warning: ") for line in lines if line not in failures)

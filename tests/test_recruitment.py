@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gsdelay.errors import ConfigError
 from gsdelay.recruitment import (
     RecruitmentModel,
+    _check_unit_rate,
     accrual_curve,
     pipeline_counts,
     recruit_time,
@@ -69,6 +70,39 @@ class TestRangeRules:
             solve_delta(value, 24.0, 0.5)
         with pytest.raises(ConfigError, match="^t_max = "):
             solve_delta(100.0, value, 0.5)
+
+
+class TestUnitRate:
+    """One participant's rate slope, 1 / t_max or 1 / capacity, is positive and finite."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RecruitmentModel.mixed(6.0, 5e-324),
+            RecruitmentModel.mixed(1e308, 1.0),
+            RecruitmentModel.uniform(1e-310),
+            RecruitmentModel.linear(5e-324),
+        ],
+    )
+    def test_refuses_a_slope_outside_the_float_range(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="outside the float range for one participant"):
+                _check_unit_rate(model)
+
+    @pytest.mark.parametrize(
+        "model",
+        [RecruitmentModel.mixed(6.0, 1e-308), RecruitmentModel.uniform(1e-300), RecruitmentModel.linear(24.0)],
+    )
+    def test_accepts_a_finite_slope(self, model):
+        assert _check_unit_rate(model) is model
+
+    def test_a_trial_of_n_max_participants_can_still_overflow(self):
+        model = RecruitmentModel.mixed(6.0, 1e-308)
+        _check_unit_rate(model)
+        with pytest.raises(ConfigError, match="outside the float range$"):
+            with pytest.warns(UserWarning, match="shorter than one month"):
+                accrual_curve(145.05, model)
 
 
 class TestRecruitTime:

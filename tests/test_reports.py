@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from gsdelay.reports import (
 from gsdelay.delay import DelayQuery, _delay_columns, assess_delay
 from gsdelay.errors import ConfigError, ScenarioError
 from gsdelay.recruitment import RecruitmentModel, pipeline_counts
-from gsdelay.scenario import parse_scenario
+from gsdelay.scenario import load_scenario, parse_scenario
 
 SMALL = """\
 [design]
@@ -312,3 +314,18 @@ def test_sweep_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, small_ta
     monkeypatch.setattr(reports.os, "cpu_count", lambda: 3)
     assert run_sweep(parse_scenario(SMALL), threads=1000).rows == small_table.rows
     assert seen == [3]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bundled_outputs_match_the_golden_digests():
+    """The bundled scenario sweeps and the case study, byte for byte, as the benchmark checks them."""
+    golden = json.loads((ROOT / "benchmarks" / "reference" / "golden.json").read_text(encoding="utf-8"))
+    produced = {
+        f"scenarios/{path.name}": run_sweep(load_scenario(path)).to_csv()
+        for path in sorted((ROOT / "scenarios").glob("*.ini"))
+    }
+    produced["case-study"] = case_study_table().to_csv()
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in produced.items()}
+    assert digests == golden

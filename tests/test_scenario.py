@@ -223,6 +223,135 @@ class TestLibraryRulesWithLineNumbers:
         assert "format must be csv or json" in capsys.readouterr().err
 
 
+# A single design with mixed recruitment: [design] keys on lines 2-6,
+# [recruitment] keys on lines 8-10, the delay on line 12.
+SINGLE = """\
+[design]
+alpha = 0.05
+beta = 0.1
+tau = 0.5
+k = 2
+family = wang-tsiatis
+[recruitment]
+pattern = mixed
+t_max = 24
+l = 0.5
+[delay]
+m = 3
+"""
+
+
+def _without(text, key):
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(f"{key} ="))
+
+
+class TestOneMessagePerKind:
+    @pytest.mark.parametrize(
+        "text, key, section",
+        [
+            (_without(SINGLE, "alpha"), "alpha", "design"),
+            (_without(SINGLE, "beta"), "beta", "design"),
+            (_without(SINGLE, "tau"), "tau", "design"),
+            (_without(SINGLE, "k"), "k", "design"),
+            (_without(SINGLE, "family"), "family", "design"),
+            (SINGLE.replace("family = wang-tsiatis", "family = hsd"), "gamma", "design"),
+            (_without(SINGLE, "pattern"), "pattern", "recruitment"),
+            (_without(SINGLE, "t_max"), "t_max", "recruitment"),
+            (_without(SINGLE, "l"), "l", "recruitment"),
+        ],
+    )
+    def test_missing_required_key(self, text, key, section):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text, source="s.ini")
+        assert str(info.value) == f"s.ini: missing required key {key!r} in [{section}]"
+
+    @pytest.mark.parametrize(
+        "key, line, names",
+        [
+            ("family", 6, "wang-tsiatis or hsd"),
+            ("futility", 7, "binding-zero, symmetric or none"),
+            ("pattern", 9, "uniform, mixed or linear"),
+            ("format", 15, "csv or json"),
+        ],
+    )
+    def test_bad_choice(self, key, line, names):
+        lines = SINGLE.splitlines()
+        lines.insert(6, "futility = none")
+        lines += ["[output]", "format = csv"]
+        index = line - 1
+        assert lines[index].startswith(f"{key} =")
+        lines[index] = f"{key} = Other"
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("\n".join(lines) + "\n")
+        assert str(info.value) == f"line {line}: {key} must be {names}, got 'Other'"
+
+    @pytest.mark.parametrize(
+        "key, line, what", [("k", 5, "stage count"), ("l", 10, "value"), ("m", 12, "delay length")]
+    )
+    def test_empty_list(self, key, line, what):
+        lines = SINGLE.splitlines()
+        assert lines[line - 1].startswith(f"{key} =")
+        lines[line - 1] = f"{key} ="
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("\n".join(lines) + "\n")
+        assert str(info.value) == f"line {line}: {key}: at least one {what} is required"
+
+    def test_choices_ignore_case(self):
+        sc = parse_scenario(SINGLE.replace("wang-tsiatis", "WT").replace("mixed", "Mixed"))
+        assert (sc.family, sc.pattern) == ("wang-tsiatis", "mixed")
+
+    def test_uniform_rejects_a_ramp_fraction(self):
+        with pytest.raises(ScenarioError, match="^line 10: l only applies to mixed recruitment$"):
+            parse_scenario(SINGLE.replace("pattern = mixed", "pattern = uniform"))
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("family = hsd\ndelta = 0.25\ngamma = -2", "delta only applies to the wang-tsiatis family"),
+            ("family = wang-tsiatis\ngamma = -2", "gamma only applies to the hsd family"),
+        ],
+    )
+    def test_a_shape_parameter_belongs_to_one_family(self, family, message):
+        with pytest.raises(ScenarioError, match=f"^line 7: {message}$"):
+            parse_scenario(SINGLE.replace("family = wang-tsiatis", family))
+
+
+# Inputs whose rules span keys; each fails at parse on the line it names.
+SPANNING = [
+    ("tau = 0.5", "tau = 1e-300", 4, "tau is too small for the variances and allocation"),
+    ("l = 0.5", "l = 5e-324", 10, "the accrual rate of .* is outside the float range"),
+    ("t_max = 24\nl = 0.5", "t_max = 1e308\nl = 1", 10, "the accrual rate of .* is outside"),
+    ("pattern = mixed\nt_max = 24\nl = 0.5", "pattern = uniform\nt_max = 1e-310", 9,
+     "the accrual rate of .* is outside"),
+    ("pattern = mixed", "pattern = uniform", 10, "l only applies to mixed recruitment"),
+]
+
+
+class TestRulesThatSpanKeys:
+    @pytest.mark.parametrize("old, new, line, message", SPANNING)
+    def test_parse_names_the_line(self, old, new, line, message):
+        with pytest.raises(ScenarioError, match=f"^line {line}: {message}"):
+            parse_scenario(SINGLE.replace(old, new))
+
+    @pytest.mark.parametrize("command", ["design", "sweep", "simulate"])
+    @pytest.mark.parametrize("old, new, line, message", SPANNING)
+    def test_every_command_exits_2_on_one_line(self, tmp_path, capsys, command, old, new, line, message):
+        path = tmp_path / "scenario.ini"
+        path.write_text(SINGLE.replace(old, new))
+        assert main([command, "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+    def test_a_slope_that_overflows_only_at_n_max_fails_at_sweep_time(self, tmp_path, capsys):
+        # n_max is unknown at parse, so l = 1e-308 parses; its design's curve overflows
+        path = tmp_path / "scenario.ini"
+        path.write_text(SINGLE.replace("t_max = 24\nl = 0.5", "t_max = 6\nl = 1e-308"))
+        assert main(["design", "--scenario", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: the accrual rate of ")
+
+
 class TestSpacings:
     def test_equal_for_any_count(self):
         assert spacing_for(4, "equal") == (0.25, 0.5, 0.75, 1.0)
