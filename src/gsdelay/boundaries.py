@@ -6,8 +6,8 @@ Two families are supported:
   Pocock (shape 0.5, constant bound) and O'Brien-Fleming (shape 0) as special
   cases; the constant C is solved so the overall one-sided type I error under
   zero drift equals alpha, with the futility bounds treated as binding. The
-  search runs on the probit scale of the level from a tight bracket
-  (0.8 z_{1-alpha} to the Bonferroni cap), with about 7 recursions per solve;
+  search runs on the probit scale of the level in one bracket, from stage-1
+  rejection to the Bonferroni cap, with about 7 recursions per solve;
 * error-spending boundaries from the Hwang-Shih-DeCani spending function,
   solved stage by stage so the cumulative rejection probability at analysis k
   equals the spent error at information fraction rho_k. Once e_1..e_{k-1}
@@ -28,6 +28,7 @@ the fractions serve as information levels directly.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -58,9 +59,13 @@ __all__ = [
     "build_boundaries",
 ]
 
-# Bracket for the Wang-Tsiatis constant C (configuration error if the root
-# escapes it) and for each stage-wise spending solve.
-_WT_BRACKET = (0.1, 10.0)
+# Cap on the Wang-Tsiatis constant C: a larger one would give a level that
+# the lattice's +/- 8 SD window cannot resolve.
+_WT_MAX = 10.0
+
+# Bracket for each stage-wise spending solve. A stage with spend increment d
+# raises the top to 1.001 z_{1-d}: P(reach k and Z_k > x) <= Phi(-x), so less
+# than d is spent above it.
 _SPEND_BRACKET = (-4.0, 12.0)
 
 # Largest x with a finite exp(x).
@@ -174,9 +179,10 @@ def wt_boundaries(
     """Wang-Tsiatis boundaries at one-sided level alpha with binding futility.
 
     The constant is solved on the probit scale, where the level is close to
-    linear in it. The search starts from [0.8 z_{1-alpha}, the Bonferroni
-    cap]: with every e_k at least z_{1-alpha/K} the level is at most alpha.
-    When that bracket misses the root the whole [0.1, 10] is searched.
+    linear in it, in one bracket that holds by two bounds. Stage 1 alone
+    rejects with probability Phi(-e_1), so the level is at least alpha when
+    e_1 = 0.999 z_{1-alpha}; with every e_k at least 1.001 z_{1-alpha/K} it
+    is below alpha (Bonferroni). The top is capped at C = 10.
 
     Args:
         K: number of analyses.
@@ -189,39 +195,29 @@ def wt_boundaries(
     """
     rho = _check_fractions(rho, K)
     _check_alpha(alpha)
-    scale = rho ** (shape - 0.5)
+    with np.errstate(over="ignore", under="ignore"):
+        scale = rho ** (shape - 0.5)
+        if not np.all((scale > 0) & np.isfinite(_WT_MAX * scale)):
+            raise ConfigError(f"Wang-Tsiatis shape {shape} puts a bound outside the float range")
     probit_alpha = _clipped_probit(alpha)
 
+    @functools.cache
     def null_pass(c: float) -> ExitProbabilities:
         e = c * scale
         problem = SequentialProblem(tuple(rho), 0.0, tuple(e), tuple(_apply_futility(e, futility)))
         return exit_probabilities(problem, nodes=nodes)
 
-    # every pass of the search by its constant; brentq returns one of them
-    passes: dict[float, ExitProbabilities] = {}
-
     def level_gap(c: float) -> float:
-        if c not in passes:
-            passes[c] = null_pass(c)
-        return probit_alpha - _clipped_probit(passes[c].total_reject)
+        return probit_alpha - _clipped_probit(null_pass(c).total_reject)
 
-    lo, hi = _WT_BRACKET
-    with np.errstate(divide="ignore"):
-        bonferroni = -1.001 * _clipped_probit(alpha / K) / scale.min()
-    tight = max(lo, -0.8 * probit_alpha), min(hi, bonferroni)
-    try:
-        if tight[0] < tight[1] and level_gap(tight[0]) <= 0.0 <= level_gap(tight[1]):
-            lo, hi = tight
-        c = brentq(level_gap, lo, hi, xtol=1e-12)
-    except ConfigError:
-        # a problem the recursion refuses, not a missed bracket
-        raise
-    except ValueError as exc:
-        raise ConfigError(
-            f"no Wang-Tsiatis constant in [{lo}, {hi}] attains alpha={alpha}"
-        ) from exc
+    lo = -0.999 * probit_alpha / float(scale[0])
+    hi = min(_WT_MAX, -1.001 * _clipped_probit(alpha / K) / float(scale.min()))
+    if not (lo < hi and level_gap(lo) <= 0.0 <= level_gap(hi)):
+        raise ConfigError(f"no Wang-Tsiatis constant up to {_WT_MAX:g} attains alpha={alpha}")
+    c = brentq(level_gap, lo, hi, xtol=1e-12)
+    # cached: brentq re-evaluates neither end and returns a point it has evaluated
+    solved = null_pass(c)
     e = c * scale
-    solved = passes[c] if c in passes else null_pass(c)
     f = _apply_futility(e, futility)
     return BoundarySet(tuple(e), tuple(f), solved.total_reject, solved._null_tables)
 
@@ -279,6 +275,7 @@ def spending_boundaries(
             return sum(crossed + [stepper.above(x)]) - targets[k]
 
         lo, hi = _SPEND_BRACKET
+        hi = max(hi, -1.001 * _clipped_probit(increments[k]))
         try:
             e_k = brentq(cumulative_error, lo, hi, xtol=1e-12)
         except ValueError as exc:

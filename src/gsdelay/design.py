@@ -216,21 +216,26 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     close to linear in eta, taken as minus the probit of the summed accept
     probabilities so that it keeps its precision as beta -> 0 (a rejection
     probability of 1 - 1e-12 keeps only about four digits of its distance
-    from one). It starts at the single-stage eta =
-    z_{1-alpha} + z_{1-beta}: a level-alpha test never beats the
-    single-stage test at its own size, so that eta lies below the root. The
-    first step goes 1.2 probit gaps past it; if that still falls short, the
-    bracket runs to sqrt(50) times it, which is 50x the single-stage size.
-    The exit probabilities and the ESS are those at eta * mu_eval / tau.
+    from one). A level-alpha test never beats the single-stage test at its
+    own size, so the root lies above the single-stage eta_ref =
+    z_{1-alpha} + z_{1-beta}. The first step goes 1.2 probit gaps past it,
+    then the bracket runs to sqrt(50) eta_ref (50x the single-stage size).
+    If rounding or quadrature error puts the power at eta_ref above target,
+    the bracket is [0, eta_ref]; at 0 the power is the attained level. A
+    single look is the single-stage test, with no search. The exit
+    probabilities and ESS are those at eta * mu_eval / tau.
 
     Raises:
         ConfigError: if the power asked for equals the level, so that the
             single-stage size is zero.
-        SolveError: if the power is below the design's floor, or
-            unattainable below 50x the single-stage size.
+        SolveError: if the power is below the level or the design's attained
+            level, or unattainable below 50x the single-stage size.
     """
     K = spec.num_stages
     rho = np.asarray(spec.fractions)
+    floor = f"power {1 - spec.beta} is below the attainable floor of this design"
+    if spec.beta > 1.0 - spec.alpha:
+        raise SolveError(floor)
     bounds = build_boundaries(spec.family, K, rho, spec.alpha, spec.futility, nodes)
     n_ref = single_stage_n(
         spec.alpha, spec.beta, spec.tau, spec.sigma0_sq, spec.sigma1_sq, spec.allocation
@@ -259,29 +264,27 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     def power_gap(eta: float) -> float:
         return z_beta - _clipped_probit(sum(exits(eta).accept_per_stage))
 
-    lo = eta_ref
-    gap = power_gap(lo)
+    eta, max_n = eta_ref, n_ref
+    gap = power_gap(eta_ref) if K > 1 else 0.0
     if gap > 0:
-        # the power asked for is below the level; size n / 4 is eta / 2
-        while power_gap(lo) > 0 and lo > math.sqrt(1e-9) * eta_ref:
-            lo /= 2.0
+        # rounding, or quadrature error at tiny alpha, put the power above its
+        # target; at eta = 0 the power is the attained level
+        lo, hi = 0.0, eta_ref
         if power_gap(lo) > 0:
-            # rejection tends to the attained level as information vanishes, so the
-            # requested power sits below the design's floor
-            raise SolveError(f"power {1 - spec.beta} is below the attainable floor of this design")
-        hi = 2.0 * lo
-    else:
+            raise SolveError(floor)
+    elif gap < 0:
         # the probit of the power climbs with eta, a little slower than the
         # single-stage test's unit rate, so the first step goes 1.2 gaps past
-        hi = min(lo - _FIRST_STEP * gap, eta_max)
+        lo, hi = eta_ref, min(eta_ref - _FIRST_STEP * gap, eta_max)
         if power_gap(hi) < 0:
             lo, hi = hi, eta_max
             if power_gap(hi) < 0:
                 raise SolveError(
                     f"power {1 - spec.beta} unattainable below {_MAX_INFLATION}x the single-stage size"
                 )
-    eta = float(brentq(power_gap, lo, hi, xtol=1e-12))
-    max_n = (eta / spec.tau) ** 2 / spec.information_for_total(1.0)
+    if gap:
+        eta = float(brentq(power_gap, lo, hi, xtol=1e-12))
+        max_n = (eta / spec.tau) ** 2 / spec.information_for_total(1.0)
 
     stage_n = rho * max_n
     r = spec.allocation

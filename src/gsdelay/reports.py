@@ -85,17 +85,30 @@ def _column(values) -> list[str]:
     return [f"{v:.2f}" for v in values.tolist()]
 
 
-def _pipeline_columns(pipeline) -> list:
-    """The pipeline columns of a (M, K) block: two decimals up to stage K, blank after."""
-    num_stages = pipeline.shape[1]
-    return [_column(pipeline[:, k]) for k in range(num_stages)] + [repeat("")] * (
-        MAX_TABLE_STAGES - num_stages
-    )
+def _cells(design, model, ms, m_interim) -> dict:
+    """The delay columns of one (design, recruitment model) pair, keyed by column name.
 
-
-def _el_column(cols):
-    """The efficiency-loss column: blank throughout when the design gains nothing."""
-    return repeat("") if cols.el is None else _column(cols.el)
+    A column holds one cell per delay in ms, or repeats one cell when it does
+    not depend on the delay. Pipeline columns past stage K and the
+    efficiency loss of a design that gains nothing are blank.
+    """
+    cols = _delay_columns(design, model, ms, m_interim)
+    num_stages = design.num_stages
+    cells = {
+        "K": repeat(str(num_stages)),
+        "l": repeat("" if model.pattern == "uniform" else f"{model.ramp_fraction:.2f}"),
+        "n_max": repeat(f"{design.max_n:.2f}"),
+        "ess": repeat(f"{design.ess:.2f}"),
+        "ess_delay": _column(cols.ess_delay),
+        "eg": repeat(f"{design.eg:.4f}"),
+        "eg_delay": [f"{v:.4f}" for v in cols.eg_delay.tolist()],
+        "el": repeat("") if cols.el is None else _column(cols.el),
+        "et": _column(cols.et),
+        "et_single": _column(cols.et_single),
+    }
+    for k in range(MAX_TABLE_STAGES):
+        cells[f"pipeline_{k + 1}"] = _column(cols.pipeline[:, k]) if k < num_stages else repeat("")
+    return cells
 
 
 @dataclass
@@ -142,26 +155,6 @@ class ResultTable:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _sweep_block(design, spacing, model, ms, m_cells, m_interim) -> zip:
-    """The sweep rows of one (design, recruitment model) pair, one per delay in ms."""
-    cols = _delay_columns(design, model, ms, m_interim)
-    return zip(
-        repeat(str(design.num_stages)),
-        m_cells,
-        repeat("" if model.pattern == "uniform" else f"{model.ramp_fraction:.2f}"),
-        repeat(spacing),
-        repeat(f"{design.max_n:.2f}"),
-        repeat(f"{design.ess:.2f}"),
-        _column(cols.ess_delay),
-        *_pipeline_columns(cols.pipeline),
-        repeat(f"{design.eg:.4f}"),
-        [f"{v:.4f}" for v in cols.eg_delay.tolist()],
-        _el_column(cols),
-        _column(cols.et),
-        _column(cols.et_single),
-    )
-
-
 def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
     """Evaluate the scenario grid (K x spacing x l x m) into a ResultTable.
 
@@ -193,7 +186,9 @@ def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
     rows = []
     for key in keys:
         for model in models:
-            rows += _sweep_block(designs[key], key[1], model, ms, m_cells, scenario.m_interim)
+            cells = _cells(designs[key], model, ms, scenario.m_interim)
+            cells.update(m=m_cells, spacing=repeat(key[1]))
+            rows += zip(*(cells[c] for c in SWEEP_COLUMNS))
     return ResultTable(columns=SWEEP_COLUMNS, rows=rows, parameters=scenario.parameter_echo())
 
 
@@ -227,18 +222,11 @@ def case_study_table() -> ResultTable:
     for name, shape in _CASE_FAMILIES:
         for num_stages in (2, 3, 4, 5):
             design = _case_design(shape, num_stages)
-            cols = _delay_columns(design, model, (_CASE_M,), 0.0)
+            cells = _cells(design, model, (_CASE_M,), 0.0)
             stage_cells = [str(n) for n in round_for_report(design)]
             stage_cells += [""] * (MAX_TABLE_STAGES - num_stages)
-            rows += zip(
-                [name],
-                repeat(str(num_stages)),
-                *(repeat(cell) for cell in stage_cells),
-                *_pipeline_columns(cols.pipeline),
-                repeat(f"{design.ess:.2f}"),
-                _column(cols.ess_delay),
-                _el_column(cols),
-            )
+            cells.update({f"n_{k + 1}": repeat(n) for k, n in enumerate(stage_cells)}, boundary=[name])
+            rows += zip(*(cells[c] for c in CASE_STUDY_COLUMNS))
     parameters = {
         "alpha": repr(_CASE_ALPHA),
         "beta": repr(_CASE_BETA),

@@ -66,7 +66,7 @@ class TestWangTsiatis:
             assert bounds.futility[-1] == bounds.efficacy[-1]
 
     def test_unbracketed_constant_is_a_config_error(self):
-        # needs a critical value beyond the [0.1, 10] bracket
+        # needs a critical value beyond the cap of 10
         with pytest.raises(ConfigError, match="alpha"):
             wt_boundaries(3, EQUAL_3, 0.25, 1e-25)
 
@@ -75,6 +75,25 @@ class TestWangTsiatis:
         # 1 - ndtr(c) underflowed and made C = 8.29 look like a root
         with pytest.raises(ConfigError, match="alpha"):
             wt_boundaries(1, (1.0,), 0.25, 1e-25)
+
+    @pytest.mark.parametrize("alpha", [0.45, 0.47, 0.49, 0.499])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_level_near_one_half_is_attained(self, K, alpha):
+        # the bracket runs from stage-1 rejection at 0.999 z_{1-alpha}, which
+        # is near zero here, to the Bonferroni cap
+        rho = tuple((k + 1) / K for k in range(K))
+        for shape in (0.0, 0.25, 0.5):
+            for style in FutilityStyle:
+                bounds = wt_boundaries(K, rho, shape, alpha, style)
+                assert bounds.achieved_alpha == pytest.approx(alpha, rel=1e-8)
+                assert rejection_at_zero(rho, bounds) == pytest.approx(alpha, rel=1e-8)
+
+    @pytest.mark.parametrize("shape", [-1000.0, 1000.0, 1e308])
+    def test_shape_that_overflows_the_bounds_is_a_config_error(self, shape):
+        # rho^(shape - 1/2) is infinite or zero at the first fraction; numpy
+        # warnings are errors under the test settings, so none is raised
+        with pytest.raises(ConfigError, match="puts a bound outside the float range"):
+            wt_boundaries(3, EQUAL_3, shape, 0.05)
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ConfigError):
@@ -163,6 +182,17 @@ class TestSpendingBoundaries:
         below = ndtr(bounds.futility[0])
         above = 1.0 - ndtr(bounds.efficacy[0])
         assert below == pytest.approx(above, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [-100.0, -300.0, -700.0])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_steep_schedule_solves(self, K, gamma):
+        # the early increments lie far below Phi(-12): the bracket's top
+        # rises to 1.001 z_{1-d} for each stage's increment d
+        for style in FutilityStyle:
+            spec = design.DesignSpec(0.05, 0.1, 0.5, K, HwangShihDeCani(gamma), style)
+            built = design.build_design(spec)
+            assert built.exit_at(0.0).total_reject == pytest.approx(0.05, abs=1e-6)
+            assert built.exit_at(spec.tau).total_reject == pytest.approx(0.9, abs=1e-6)
 
     def test_dispatch(self):
         wt = build_boundaries(WangTsiatis(0.25), 3, EQUAL_3, 0.05, FutilityStyle.BINDING_ZERO)

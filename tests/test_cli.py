@@ -72,6 +72,26 @@ class TestDesignCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["eg"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_single_look_prints_no_negative_zero(self, scenario_file, capsys):
+        text = SWEEP_SCENARIO.replace("beta = 0.1", "beta = 0.05").replace("tau = 0.5", "tau = 0.3")
+        path = scenario_file(text.replace("k = 2", "k = 1"))
+        assert main(["design", "--scenario", path]) == 0
+        assert "EG = 0.0000" in capsys.readouterr().out
+        assert main(["sweep", "--scenario", path]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[-3:]
+        columns = header.split(",")
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            assert cells["eg"] == cells["eg_delay"] == "0.0000"
+
+    @pytest.mark.parametrize("delta", ["-1000", "1000", "1e308"])
+    def test_shape_that_overflows_the_bounds(self, scenario_file, capsys, delta):
+        text = DESIGN_SCENARIO.replace("delta = 0.25", f"delta = {delta}").replace("k = 2", "k = 3")
+        assert main(["design", "--scenario", scenario_file(text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "outside the float range" in err
+
     def test_intro_example_rounding(self, scenario_file, capsys):
         text = (
             "[design]\nalpha = 0.025\nbeta = 0.2\ntau = 0.4\nk = 3\n"
@@ -238,17 +258,17 @@ def _value(lo, hi):
 def scenario_texts(draw):
     lines = [
         "[design]",
-        f"alpha = {draw(_value(0.01, 0.1))}",
+        f"alpha = {draw(_value(0.01, 0.499))}",
         f"beta = {draw(_value(0.05, 0.3))}",
         f"tau = {draw(_value(0.2, 1.0))}",
-        f"k = {draw(st.sampled_from(('1', '2')))}",
+        f"k = {draw(st.sampled_from(('1', '2', '3')))}",
         f"futility = {draw(st.sampled_from(('binding-zero', 'symmetric', 'none')))}",
         f"allocation = {draw(_value(0.5, 2.0))}",
     ]
     if draw(st.booleans()):
-        lines += ["family = hsd", f"gamma = {draw(_value(-4.0, 2.0))}"]
+        lines += ["family = hsd", f"gamma = {draw(_value(-700.0, 2.0))}"]
     else:
-        lines += ["family = wang-tsiatis", f"delta = {draw(_value(0.0, 0.5))}"]
+        lines += ["family = wang-tsiatis", f"delta = {draw(_value(-3.0, 3.0))}"]
     pattern = draw(st.sampled_from(("uniform", "mixed", "linear")))
     lines += ["[recruitment]", f"pattern = {pattern}", f"t_max = {draw(_value(6.0, 48.0))}"]
     if pattern == "mixed" or draw(st.booleans()):

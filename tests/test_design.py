@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from gsdelay import design as design_module
+from gsdelay import sequential
 from gsdelay.boundaries import BoundarySet, FutilityStyle, HwangShihDeCani, WangTsiatis
 from gsdelay.design import (
     DesignSpec,
@@ -98,6 +100,29 @@ class TestBuildDesign:
     def test_unattainable_power_floor(self):
         with pytest.raises(SolveError, match="floor"):
             build_design(wt_spec(2, beta=0.96))
+
+    @pytest.mark.parametrize("beta", [0.96, 0.999])
+    def test_power_below_the_level_is_refused_before_any_solve(self, monkeypatch, beta):
+        calls = []
+        monkeypatch.setattr(design_module, "build_boundaries", lambda *a: calls.append("solve"))
+        monkeypatch.setattr(sequential._Tilt, "__call__", lambda *a: calls.append("tilt"))
+        with pytest.raises(SolveError, match="below the attainable floor"):
+            build_design(wt_spec(2, beta=beta))
+        assert calls == []
+
+    @pytest.mark.parametrize("gamma", [-50.0, -100.0])
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.55])
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_near_single_stage_designs(self, alpha, beta, K, gamma):
+        # the early bounds spend almost nothing, so the power at the
+        # single-stage eta can round above its target; the root then lies
+        # in [0, eta_ref]
+        for style in FutilityStyle:
+            spec = wt_spec(K, alpha=alpha, beta=beta, family=HwangShihDeCani(gamma), futility=style)
+            built = build_design(spec)
+            assert built.exit_at(0.0).total_reject == pytest.approx(alpha, abs=1e-6)
+            assert built.exit_at(spec.tau).total_reject == pytest.approx(1 - beta, abs=1e-6)
 
     def test_power_equal_to_the_level_has_no_single_stage_size(self):
         # z_{0.75} + z_{0.25} is exactly zero
@@ -215,6 +240,14 @@ class TestEfficiencyGain:
     def test_single_stage_gain_is_zero(self):
         design = build_design(wt_spec(1))
         assert design.eg == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", [WangTsiatis(0.25), WangTsiatis(0.0), HwangShihDeCani(-2.0)])
+    @pytest.mark.parametrize("style", list(FutilityStyle))
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.2])
+    def test_single_look_is_the_single_stage_design(self, family, style, beta):
+        design = build_design(wt_spec(1, beta=beta, tau=0.3, family=family, futility=style))
+        assert design.max_n == design.n_single
+        assert design.eg == 0.0
 
     def test_reference_ratios(self, table_design):
         assert table_design(2).eg == pytest.approx((137.02 - 105.84) / 137.02, abs=0.002)
