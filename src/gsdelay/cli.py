@@ -38,6 +38,18 @@ def _single_design(scenario: Scenario):
     return build_design(spec)
 
 
+def _cell(x, decimals: int) -> str:
+    """x in a 9-wide column: fixed point, or g format where fixed point overflows it.
+
+    A Wang-Tsiatis bound can reach 1e286, whose fixed-point text runs to 290
+    characters; its g text keeps the stage table's columns.
+    """
+    text = f"{x:>9.{decimals}f}"
+    if len(text) > 9:
+        text = f"{x:>9.{3 - (x < 0)}g}"
+    return text
+
+
 def _cmd_design(args) -> int:
     scenario = load_scenario(args.scenario)
     design = _single_design(scenario)
@@ -73,12 +85,10 @@ def _cmd_design(args) -> int:
           f"(inflation {design.max_n / design.n_single:.4f})")
     print("stage    rho      n        n(report)  efficacy  futility   stop prob")
     for k in range(spec.num_stages):
-        f_val = design.boundaries.futility[k]
-        f_txt = f"{f_val:8.4f}" if f_val > float("-inf") else "    -inf"
         print(
-            f"{k + 1:>5} {spec.fractions[k]:>7.4f} {design.stage_n[k]:>9.2f} "
-            f"{rounded[k]:>9d} {design.boundaries.efficacy[k]:>9.4f} {f_txt:>9} "
-            f"{design.exit.stop_per_stage[k]:>10.4f}"
+            f"{k + 1:>5} {spec.fractions[k]:>7.4f} {_cell(design.stage_n[k], 2)} "
+            f"{_cell(rounded[k], 0)} {_cell(design.boundaries.efficacy[k], 4)} "
+            f"{_cell(design.boundaries.futility[k], 4)} {design.exit.stop_per_stage[k]:>10.4f}"
         )
     print(f"ESS(mu={spec.evaluation_effect}) = {design.ess:.2f}   EG = {design.eg:.4f}")
     return 0
@@ -127,7 +137,8 @@ def _cmd_simulate(args) -> int:
         config = SimConfig(
             design=design, replicates=args.replicates, seed=args.seed, delay=query
         )
-        result = simulate(config, threads=args.threads)
+        with scenario.rate_errors_on_line():
+            result = simulate(config, threads=args.threads)
         if query is None:
             print("no delay: expected sample size vs analytic ESS")
         else:

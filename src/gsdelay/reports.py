@@ -184,11 +184,12 @@ def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
     ms = scenario.delays
     m_cells = _column(np.asarray(ms, dtype=float))
     rows = []
-    for key in keys:
-        for model in models:
-            cells = _cells(designs[key], model, ms, scenario.m_interim)
-            cells.update(m=m_cells, spacing=repeat(key[1]))
-            rows += zip(*(cells[c] for c in SWEEP_COLUMNS))
+    with scenario.rate_errors_on_line():
+        for key in keys:
+            for model in models:
+                cells = _cells(designs[key], model, ms, scenario.m_interim)
+                cells.update(m=m_cells, spacing=repeat(key[1]))
+                rows += zip(*(cells[c] for c in SWEEP_COLUMNS))
     return ResultTable(columns=SWEEP_COLUMNS, rows=rows, parameters=scenario.parameter_echo())
 
 

@@ -37,7 +37,8 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -117,6 +118,8 @@ class Scenario:
     out_format: str | None
     out_path: str | None
     source: str = "<scenario>"
+    # the line the accrual-rate rule reports on: l (mixed) or t_max
+    rate_line: int | None = field(default=None, compare=False, repr=False)
 
     def design_spec(self, num_stages: int, spacing: str) -> DesignSpec:
         if self.family == "wang-tsiatis":
@@ -142,6 +145,18 @@ class Scenario:
         if self.pattern == "uniform":
             return (RecruitmentModel.uniform(self.t_max),)
         return tuple(RecruitmentModel.mixed(self.t_max, l) for l in self.ramp_fractions)
+
+    @contextmanager
+    def rate_errors_on_line(self):
+        """Re-raise a ConfigError from an accrual curve on the line of l or t_max.
+
+        The rate for n_max participants is known only once a design is built,
+        so this part of the accrual-rate rule is checked where curves are made.
+        """
+        try:
+            yield
+        except ConfigError as exc:
+            raise ScenarioError(str(exc), self.rate_line) from None
 
     def parameter_echo(self) -> dict[str, str]:
         """Flat, deterministic parameter listing for report provenance."""
@@ -324,6 +339,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             pattern, ramp_fractions = "mixed", (1.0,)
 
     out_path = get("output", "path")
+    rate_entry = get("recruitment", "l") or get("recruitment", "t_max")
     scenario = Scenario(
         alpha=alpha,
         beta=beta,
@@ -345,6 +361,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         out_format=choice("output", "format", ("csv", "json")),
         out_path=out_path.value if out_path is not None else None,
         source=source,
+        rate_line=rate_entry.line if rate_entry is not None else None,
     )
 
     # the rules that span keys: the sizes each design implies, on the line of
@@ -353,7 +370,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         for spacing in scenario.spacings:
             checked(get("design", "tau"), scenario.design_spec, k, spacing)
     if pattern is not None:
-        rate_entry = get("recruitment", "l") or get("recruitment", "t_max")
         for model in scenario.recruitment_models():
             checked(rate_entry, _check_unit_rate, model)
     return scenario

@@ -4,13 +4,18 @@ Trials are replayed path-wise on simulated sequential z-statistics with the
 canonical covariance (independent score increments), entirely independent of
 the quadrature recursion, so the two can validate each other. Replicates are
 generated in fixed-size blocks with per-block substreams spawned from the
-seed. Each block tallies its paths by exit stage, the first k with
-Z_k > e_k or Z_k <= f_k (f_K = e_K, so every path stops by stage K), and
-counts the rejections among them. A trial's sample size and duration depend
-only on its exit stage, so the two count vectors are sufficient: every
-estimate and standard error follows from their sums. The blocks' counts are
-summed in block order, so estimates are bit-identical for a given seed
-regardless of how many worker threads are used.
+seed. Each block tallies its paths by exit stage, the first k with Z_k > e_k
+or Z_k <= f_k (f_K = e_K, so every path stops by stage K), and counts the
+rejections among them. The tally runs one stage at a time: the stage's
+column of the block's normals is scaled into a contiguous row, added to a
+running score and divided by sqrt(I_k) into one reused z buffer, and the
+crossings are counted among the paths a running mask still holds, then
+cleared from it. These are the float operations of a per-path replay, in its
+order, so the counts are bit-identical to it. A trial's sample size and
+duration depend only on its exit stage, so the two count vectors are
+sufficient: every estimate and standard error follows from their sums. The
+blocks' counts are summed in block order, so estimates are bit-identical for
+a given seed regardless of how many worker threads are used.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay import DelayQuery
-from .design import GroupSequentialDesign
+from .design import GroupSequentialDesign, _check_finite
 from .errors import ConfigError
 from .recruitment import pipeline_counts
 
@@ -51,6 +56,9 @@ class SimConfig:
             raise ConfigError("at least one replicate is required")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if self.mu is not None:
+            # a NaN z-path crosses no bound, so it would stop at no stage
+            _check_finite("mu", self.mu)
 
 
 @dataclass(frozen=True)
@@ -77,16 +85,33 @@ class SimResult:
 
 
 def _tally(seed_seq, size: int, info, e, f, mu: float):
-    """Paths of one block stopping at each stage, and those of them that reject."""
+    """Paths of one block stopping at each stage, and those of them that reject.
+
+    The normals are drawn as one (size, K) array, so the stream and the
+    path each normal belongs to do not depend on how the block is tallied.
+    """
     rng = np.random.default_rng(seed_seq)
     K = info.size
     d_info = np.diff(np.concatenate(([0.0], info)))
-    increments = rng.standard_normal((size, K)) * np.sqrt(d_info) + mu * d_info
-    z = np.cumsum(increments, axis=1) / np.sqrt(info)
-    rejects = z > e
-    exit_stage = (rejects | (z <= f)).argmax(axis=1)
-    rejected = rejects[np.arange(size), exit_stage]
-    return np.bincount(exit_stage, minlength=K), np.bincount(exit_stage[rejected], minlength=K)
+    sd, drift, sqrt_info = np.sqrt(d_info), mu * d_info, np.sqrt(info)
+    normals = rng.standard_normal((size, K))
+    score, step, z = np.zeros(size), np.empty(size), np.empty(size)
+    running, hit = np.ones(size, dtype=bool), np.empty(size, dtype=bool)
+    stops, rejects = np.zeros(K, dtype=np.intp), np.zeros(K, dtype=np.intp)
+    for k in range(K):
+        np.multiply(normals[:, k], sd[k], out=step)
+        step += drift[k]
+        score += step
+        np.divide(score, sqrt_info[k], out=z)
+        np.greater(z, e[k], out=hit)
+        hit &= running
+        rejects[k] = np.count_nonzero(hit)
+        running ^= hit
+        np.less_equal(z, f[k], out=hit)
+        hit &= running
+        stops[k] = rejects[k] + np.count_nonzero(hit)
+        running ^= hit
+    return stops, rejects
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimResult:

@@ -65,6 +65,18 @@ class TestWangTsiatis:
         for bounds in (zero, sym, none):
             assert bounds.futility[-1] == bounds.efficacy[-1]
 
+    # Jennison & Turnbull (2000), Table 2.1: two-sided level 0.05 with equal
+    # group sizes, i.e. one-sided 0.025 with the symmetric binding lower bound
+    @pytest.mark.parametrize(
+        "shape, K, published",
+        [(0.5, 2, 2.178), (0.5, 3, 2.289), (0.5, 4, 2.361), (0.5, 5, 2.413),
+         (0.0, 2, 1.977), (0.0, 3, 2.004), (0.0, 4, 2.024), (0.0, 5, 2.040)],
+    )
+    def test_published_pocock_and_obf_constants(self, shape, K, published):
+        rho = tuple((k + 1) / K for k in range(K))
+        bounds = wt_boundaries(K, rho, shape, 0.025, FutilityStyle.SYMMETRIC)
+        assert abs(bounds.efficacy[-1] - published) <= 5e-4
+
     def test_unbracketed_constant_is_a_config_error(self):
         # needs a critical value beyond the cap of 10
         with pytest.raises(ConfigError, match="alpha"):

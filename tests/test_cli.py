@@ -92,6 +92,23 @@ class TestDesignCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "outside the float range" in err
 
+    @pytest.mark.parametrize("futility", ["none", "symmetric"])
+    @pytest.mark.parametrize("tau", ["0.5", "0.0001"])
+    def test_stage_table_keeps_its_width(self, scenario_file, capsys, futility, tau):
+        def stage_rows(text):
+            assert main(["design", "--scenario", scenario_file(text)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            start = next(i for i, line in enumerate(lines) if line.startswith("stage")) + 1
+            return lines[start:-1]
+
+        widths = {len(row) for row in stage_rows(DESIGN_SCENARIO)}
+        # shape -600 puts e_1 at 5.3e286; tau = 1e-4 puts the stage sizes above 1e9
+        text = (DESIGN_SCENARIO.replace("k = 2", "k = 3").replace("delta = 0.25", "delta = -600")
+                .replace("binding-zero", futility).replace("tau = 0.5", f"tau = {tau}"))
+        rows = stage_rows(text)
+        assert len(rows) == 3 and {len(row) for row in rows} == widths
+        assert "5.34e+286" in rows[0]
+
     def test_intro_example_rounding(self, scenario_file, capsys):
         text = (
             "[design]\nalpha = 0.025\nbeta = 0.2\ntau = 0.4\nk = 3\n"
@@ -244,6 +261,24 @@ def test_infinite_delta_names_its_line(scenario_file, capsys):
     path = scenario_file(DESIGN_SCENARIO.replace("delta = 0.25", "delta = inf"))
     assert main(["design", "--scenario", path]) == 2
     assert capsys.readouterr().err == "error: line 7: Wang-Tsiatis shape must be finite\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize(
+    "recruitment, line",
+    [("pattern = mixed\nt_max = 6\nl = 1e-308", 13), ("pattern = uniform\nt_max = 1e-307", 12)],
+)
+def test_overflowing_accrual_rate_names_its_line(scenario_file, capsys, command, recruitment, line):
+    # one participant's rate is finite, so the scenario parses and design runs;
+    # the rate for n_max participants overflows once the design is built
+    path = scenario_file(SWEEP_SCENARIO.replace("pattern = uniform\nt_max = 24", recruitment))
+    assert main(["design", "--scenario", path]) == 0
+    capsys.readouterr()
+    assert main([command, "--scenario", path]) == 2
+    errors = [e for e in capsys.readouterr().err.splitlines() if not e.startswith("warning: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: line {line}: the accrual rate of RecruitmentModel(")
+    assert errors[0].endswith("is outside the float range")
 
 
 # Scenario values: a typical draw, or one of these edge tokens.

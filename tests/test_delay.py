@@ -169,3 +169,43 @@ class TestAssessDelay:
     def test_rejects_non_finite_interim_overhead(self, m_interim):
         with pytest.raises(ConfigError, match="finite"):
             DelayQuery(m=1.0, model=RecruitmentModel.uniform(24.0), m_interim=m_interim)
+
+
+def _boundary_ordering_failures(futility):
+    """The (K, m) cells where EL(Pocock) >= EL(WT 0.25) >= EL(OBF) fails, and where Pocock < OBF.
+
+    The paper's setting: alpha 0.05, beta 0.1, tau 0.5, uniform recruitment
+    over 24 months, delays of 1..24 months, K = 2..5.
+    """
+    full, pocock_below_obf = set(), set()
+    for K in range(2, 6):
+        designs = [
+            build_design(DesignSpec(alpha=0.05, beta=0.1, tau=0.5, num_stages=K,
+                                    family=WangTsiatis(shape), futility=futility))
+            for shape in (0.5, 0.25, 0.0)
+        ]
+        for m in range(1, 25):
+            pocock, wt, obf = (assess_delay(d, uniform_query(float(m))).el for d in designs)
+            if not pocock >= wt >= obf:
+                full.add((K, m))
+            if not pocock >= obf:
+                pocock_below_obf.add((K, m))
+    return full, pocock_below_obf
+
+
+def test_paper_ordering_of_losses_as_measured():
+    """Pocock loses most and OBF least only in part of the paper's grid.
+
+    With no futility bound Pocock always loses at least as much as OBF, and
+    the full ordering through WT 0.25 holds for every K from m = 11; below
+    that WT 0.25 loses less than OBF at K >= 3. A binding bound at zero
+    breaks the ordering far more often, at every delay for K = 4 and 5.
+    """
+    full, pocock_below_obf = _boundary_ordering_failures(FutilityStyle.NONE)
+    assert not pocock_below_obf
+    assert len(full) == 29
+    assert all(m <= 10 and K >= 3 for K, m in full)
+
+    full, _ = _boundary_ordering_failures(FutilityStyle.BINDING_ZERO)
+    assert len(full) == 61
+    assert {(K, m) for K in (4, 5) for m in range(1, 25)} <= full

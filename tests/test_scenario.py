@@ -349,7 +349,7 @@ class TestRulesThatSpanKeys:
         assert main(["design", "--scenario", str(path)]) == 0
         capsys.readouterr()
         assert main(["sweep", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: the accrual rate of ")
+        assert capsys.readouterr().err.startswith("error: line 10: the accrual rate of ")
 
 
 class TestSpacings:

@@ -1,10 +1,13 @@
+import functools
 import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsdelay.delay import DelayQuery, assess_delay
-from gsdelay.boundaries import FutilityStyle, WangTsiatis
+from gsdelay.boundaries import FutilityStyle, HwangShihDeCani, WangTsiatis
 from gsdelay.design import DesignSpec, build_design
 from gsdelay.errors import ConfigError
 from gsdelay.recruitment import RecruitmentModel, pipeline_counts
@@ -107,12 +110,101 @@ def test_tally_matches_a_per_path_replay(style):
         assert se == pytest.approx(np.std(values, ddof=0) / np.sqrt(R), rel=1e-12, abs=0)
 
 
+def _path_major_z(seed_seq, size, info, mu):
+    """A block's z-paths, path-major: the whole (size, K) array by np.cumsum."""
+    rng = np.random.default_rng(seed_seq)
+    d_info = np.diff(np.concatenate(([0.0], info)))
+    increments = rng.standard_normal((size, info.size)) * np.sqrt(d_info) + mu * d_info
+    return np.cumsum(increments, axis=1) / np.sqrt(info)
+
+
+def _path_major_counts(z, e, f):
+    """Counts by exit stage, found by argmax over each path's stop mask."""
+    size, K = z.shape
+    rejects = z > e
+    exit_stage = (rejects | (z <= f)).argmax(axis=1)
+    rejected = rejects[np.arange(size), exit_stage]
+    return np.bincount(exit_stage, minlength=K), np.bincount(exit_stage[rejected], minlength=K)
+
+
+def _bounds_on_paths(z, pick):
+    """Bounds that paths sit on exactly: e_k and f_k are z_k of two paths.
+
+    Random draws almost never land on a bound, so a tally that compares with
+    >= for > or rounds z differently would agree with the oracle on them.
+    The two paths are taken among those still running while any are.
+    """
+    size, K = z.shape
+    e, f = np.empty(K), np.empty(K)
+    running = np.ones(size, dtype=bool)
+    for k in range(K):
+        live = np.flatnonzero(running)
+        if live.size == 0:
+            live = np.arange(size)
+        lo, hi = sorted(z[live[[pick % live.size, -1 - pick % live.size]], k])
+        e[k], f[k] = hi, (hi if k == K - 1 else lo)
+        running &= (z[:, k] <= e[k]) & (z[:, k] > f[k])
+    return e, f
+
+
+_FAMILIES = (WangTsiatis(0.0), WangTsiatis(0.5), HwangShihDeCani(-2.0))
+
+
+@functools.cache
+def _oracle_design(K, family, style):
+    return build_design(
+        DesignSpec(alpha=0.05, beta=0.1, tau=0.5, num_stages=K, family=family, futility=style)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    K=st.integers(1, 8),
+    family=st.sampled_from(_FAMILIES),
+    style=st.sampled_from(list(FutilityStyle)),
+    mu=st.one_of(st.sampled_from((0.0, 0.4, -0.3, 1.5)), st.floats(-3.0, 3.0)),
+    size=st.one_of(st.integers(1, 64), st.integers(1, 20_000)),
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.one_of(st.none(), st.integers(0, 2**16)),
+)
+def test_tally_matches_the_path_major_oracle(K, family, style, mu, size, seed, pick):
+    """Stage-by-stage counts equal the whole-block tally's, bit for bit.
+
+    With pick set, the design's bounds are replaced by ones that paths sit on.
+    """
+    design = _oracle_design(K, family, style)
+    info = np.asarray(design.info_levels)
+    z = _path_major_z(np.random.SeedSequence(seed), size, info, mu)
+    if pick is None:
+        e, f = np.asarray(design.boundaries.efficacy), np.asarray(design.boundaries.futility)
+    else:
+        e, f = _bounds_on_paths(z, pick)
+    stops, rejects = sim._tally(np.random.SeedSequence(seed), size, info, e, f, mu)
+    want_stops, want_rejects = _path_major_counts(z, e, f)
+    np.testing.assert_array_equal(stops, want_stops)
+    np.testing.assert_array_equal(rejects, want_rejects)
+    assert stops.sum() == size
+
+
+def test_three_blocks_independent_of_thread_count():
+    """Two full blocks and a partial one give the same result on 1 and 2 threads."""
+    design = _oracle_design(5, HwangShihDeCani(-2.0), FutilityStyle.NONE)
+    config = SimConfig(design=design, replicates=2 * sim._BLOCK_SIZE + 12_345, seed=SEED, mu=-0.3)
+    assert simulate(config, threads=1) == simulate(config, threads=2)
+
+
 class TestValidation:
     def test_rejects_bad_config(self, table_design):
         with pytest.raises(ConfigError):
             SimConfig(design=table_design(2), replicates=0, seed=1)
         with pytest.raises(ConfigError):
             SimConfig(design=table_design(2), replicates=10, seed=-1)
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+def test_rejects_a_non_finite_effect(table_design, mu):
+    with pytest.raises(ConfigError, match="mu = .* must be finite"):
+        SimConfig(design=table_design(2), replicates=10, seed=1, mu=mu)
 
 
 def test_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, table_design):
