@@ -5,12 +5,15 @@ Two families are supported:
 * the Wang-Tsiatis power family e_k = C * rho_k^(shape - 1/2), which contains
   Pocock (shape 0.5, constant bound) and O'Brien-Fleming (shape 0) as special
   cases; the constant C is solved so the overall one-sided type I error under
-  zero drift equals alpha, with the futility bounds treated as binding. The
-  search runs on the probit scale of the level in one bracket, from stage-1
-  rejection to the Bonferroni cap, with about 7 recursions per solve;
+  zero drift equals alpha, with the futility bounds treated as binding. A
+  secant on the probit scale of the level starts just above the Bonferroni
+  constant and stays in a bracket down to stage-1 rejection, with about 5
+  recursions per solve;
 * error-spending boundaries from the Hwang-Shih-DeCani spending function,
   solved stage by stage so the cumulative rejection probability at analysis k
-  equals the spent error at information fraction rho_k. Once e_1..e_{k-1}
+  equals the spent error at information fraction rho_k: stage k matches
+  its own spend increment d_k, from a first guess of z_{1-d_k}, about 5
+  crossing integrals per stage. Once e_1..e_{k-1}
   are solved the continuing density before stage k is fixed, so each trial
   e_k costs one O(n) integral against it over the stage's score-lattice
   nodes (Armitage, McPherson & Rowe 1969; Jennison & Turnbull 2000, ch. 19)
@@ -35,7 +38,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, SolveError
 from .sequential import (
@@ -44,6 +46,7 @@ from .sequential import (
     SequentialProblem,
     _StageStepper,
     _clipped_probit,
+    _probit_root,
     exit_probabilities,
 )
 
@@ -63,9 +66,10 @@ __all__ = [
 # the lattice's +/- 8 SD window cannot resolve.
 _WT_MAX = 10.0
 
-# Bracket for each stage-wise spending solve. A stage with spend increment d
-# raises the top to 1.001 z_{1-d}: P(reach k and Z_k > x) <= Phi(-x), so less
-# than d is spent above it.
+# Bracket for each stage-wise spending solve, whose search starts at z_{1-d}
+# for the stage's spend increment d. The top rises to 1.001 z_{1-d}:
+# P(reach k and Z_k > x) <= Phi(-x), so less than d is spent above it. A
+# root below the bottom refuses the stage once the bottom is evaluated.
 _SPEND_BRACKET = (-4.0, 12.0)
 
 # Largest x with a finite exp(x).
@@ -179,10 +183,12 @@ def wt_boundaries(
     """Wang-Tsiatis boundaries at one-sided level alpha with binding futility.
 
     The constant is solved on the probit scale, where the level is close to
-    linear in it, in one bracket that holds by two bounds. Stage 1 alone
-    rejects with probability Phi(-e_1), so the level is at least alpha when
-    e_1 = 0.999 z_{1-alpha}; with every e_k at least 1.001 z_{1-alpha/K} it
-    is below alpha (Bonferroni). The top is capped at C = 10.
+    linear in it. Every futility style rejects less than sum_k Phi(-e_k), so
+    the level is below alpha at 1.001 times the constant that makes this sum
+    alpha (Bonferroni): the search evaluates there first, then steps with
+    the single-stage slope 1. Stage 1 alone rejects with probability
+    Phi(-e_1), so the level is at least alpha when e_1 = 0.999 z_{1-alpha};
+    that end is never evaluated. The constant is capped at 10.
 
     Args:
         K: number of analyses.
@@ -210,16 +216,40 @@ def wt_boundaries(
     def level_gap(c: float) -> float:
         return probit_alpha - _clipped_probit(null_pass(c).total_reject)
 
+    # stage 1 alone rejects with probability Phi(-e_1) > alpha at lo
     lo = -0.999 * probit_alpha / float(scale[0])
-    hi = min(_WT_MAX, -1.001 * _clipped_probit(alpha / K) / float(scale.min()))
-    if not (lo < hi and level_gap(lo) <= 0.0 <= level_gap(hi)):
+    start = min(_WT_MAX, 1.001 * _bonferroni_constant(scale, alpha, probit_alpha))
+    c = _probit_root(level_gap, start, 1.0, lo, _WT_MAX, gap_lo=-math.inf) if lo < start else None
+    if c is None:
         raise ConfigError(f"no Wang-Tsiatis constant up to {_WT_MAX:g} attains alpha={alpha}")
-    c = brentq(level_gap, lo, hi, xtol=1e-12)
-    # cached: brentq re-evaluates neither end and returns a point it has evaluated
+    # cached: the search returns a point it has evaluated
     solved = null_pass(c)
     e = c * scale
     f = _apply_futility(e, futility)
     return BoundarySet(tuple(e), tuple(f), solved.total_reject, solved._null_tables)
+
+
+def _bonferroni_constant(scale: np.ndarray, alpha: float, probit_alpha: float) -> float:
+    """The C at which sum_k Phi(-C s_k) = alpha, or the cap where it lies above.
+
+    The root lies between z_{1-alpha} / max s_k, where the largest term
+    alone is alpha, and z_{1-alpha/K} / min s_k, where every term is at most
+    alpha / K.
+    """
+    # Phi(-c s) = erfc(c s / sqrt 2) / 2, cheaper in scalar math for few stages
+    scaled = [float(s) / math.sqrt(2.0) for s in scale]
+
+    def bonferroni_gap(c: float) -> float:
+        return probit_alpha - _clipped_probit(0.5 * sum(math.erfc(c * s) for s in scaled))
+
+    lo = -probit_alpha / float(scale.max())
+    if not lo < _WT_MAX:
+        return _WT_MAX
+    hi = min(_WT_MAX, -_clipped_probit(alpha / scale.size) / float(scale.min()))
+    # the root when every s_k is 1, as for Pocock's shape
+    start = min(hi, -_clipped_probit(alpha / scale.size))
+    c = _probit_root(bonferroni_gap, start, 1.0, lo, hi, gap_lo=-math.inf)
+    return _WT_MAX if c is None else c
 
 
 def hsd_spend(t: float, gamma: float, alpha: float) -> float:
@@ -248,11 +278,13 @@ def spending_boundaries(
 ) -> BoundarySet:
     """Stage-wise boundaries matching the Hwang-Shih-DeCani spend schedule.
 
-    e_k is solved so the cumulative rejection probability at analysis k under
-    zero drift equals the spent error at rho_k (with the chosen futility
-    bounds binding); the last stage spends exactly the remaining error. For
-    the symmetric style each solved interim fixes f_k = -e_k before the next
-    stage is solved.
+    e_k is solved so the rejection probability at analysis k under zero
+    drift equals the error spent between rho_{k-1} and rho_k (with the
+    chosen futility bounds binding); the last stage spends the rest of
+    alpha. Each stage matches its own increment, not the cumulative spend,
+    since late increments of a steep schedule lie below the rounding of the
+    running total. For the symmetric style each solved interim fixes
+    f_k = -e_k before the next stage is solved.
     """
     rho = _check_fractions(rho, K)
     _check_gamma(gamma)
@@ -270,18 +302,20 @@ def spending_boundaries(
     crossed: list[float] = []
     tables = []
     for k in range(K):
+        probit_d = _clipped_probit(increments[k])
+        above = functools.cache(stepper.above)
 
-        def cumulative_error(x: float) -> float:
-            return sum(crossed + [stepper.above(x)]) - targets[k]
+        def spend_gap(x: float) -> float:
+            return probit_d - _clipped_probit(above(x))
 
         lo, hi = _SPEND_BRACKET
-        hi = max(hi, -1.001 * _clipped_probit(increments[k]))
-        try:
-            e_k = brentq(cumulative_error, lo, hi, xtol=1e-12)
-        except ValueError as exc:
-            raise SolveError(f"stage {k + 1} spending bound not bracketed in [{lo}, {hi}]") from exc
+        hi = max(hi, -1.001 * probit_d)
+        # z_{1-d} would be the root if every trial reached stage k
+        e_k = _probit_root(spend_gap, -probit_d, 1.0, lo, hi)
+        if e_k is None:
+            raise SolveError(f"stage {k + 1} spending bound not bracketed in [{lo}, {hi}]")
         solved.append(e_k)
-        crossed.append(stepper.above(e_k))
+        crossed.append(above(e_k))
         if k < K - 1:
             f_k = _futility_bound(e_k, futility)
             if not e_k > f_k:

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .boundaries import (
     BoundaryFamily,
@@ -37,6 +36,7 @@ from .sequential import (
     ExitProbabilities,
     SequentialProblem,
     _clipped_probit,
+    _probit_root,
     _Tilt,
     exit_probabilities,
     normal_quantile,
@@ -52,9 +52,6 @@ __all__ = [
 
 # Power search gives up beyond this multiple of the single-stage size.
 _MAX_INFLATION = 50.0
-
-# The power search's first step, in probit gaps of the power past the single-stage eta.
-_FIRST_STEP = 1.2
 
 # Floor on tau^2 times the information per participant. The single-stage
 # size is z^2 over this product, so the floor keeps every size the power
@@ -218,10 +215,11 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     probability of 1 - 1e-12 keeps only about four digits of its distance
     from one). A level-alpha test never beats the single-stage test at its
     own size, so the root lies above the single-stage eta_ref =
-    z_{1-alpha} + z_{1-beta}. The first step goes 1.2 probit gaps past it,
-    then the bracket runs to sqrt(50) eta_ref (50x the single-stage size).
-    If rounding or quadrature error puts the power at eta_ref above target,
-    the bracket is [0, eta_ref]; at 0 the power is the attained level. A
+    z_{1-alpha} + z_{1-beta}. The search is a secant that starts there with
+    the single-stage test's unit slope, in the bracket up to sqrt(50) eta_ref
+    (50x the single-stage size), about 5 evaluations per design. If
+    rounding or quadrature error puts the power at eta_ref above target, the
+    root lies in [0, eta_ref]; at 0 the power is the attained level. A
     single look is the single-stage test, with no search. The exit
     probabilities and ESS are those at eta * mu_eval / tau.
 
@@ -265,25 +263,16 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
         return z_beta - _clipped_probit(sum(exits(eta).accept_per_stage))
 
     eta, max_n = eta_ref, n_ref
-    gap = power_gap(eta_ref) if K > 1 else 0.0
-    if gap > 0:
-        # rounding, or quadrature error at tiny alpha, put the power above its
-        # target; at eta = 0 the power is the attained level
-        lo, hi = 0.0, eta_ref
-        if power_gap(lo) > 0:
-            raise SolveError(floor)
-    elif gap < 0:
-        # the probit of the power climbs with eta, a little slower than the
-        # single-stage test's unit rate, so the first step goes 1.2 gaps past
-        lo, hi = eta_ref, min(eta_ref - _FIRST_STEP * gap, eta_max)
-        if power_gap(hi) < 0:
-            lo, hi = hi, eta_max
-            if power_gap(hi) < 0:
-                raise SolveError(
-                    f"power {1 - spec.beta} unattainable below {_MAX_INFLATION}x the single-stage size"
-                )
-    if gap:
-        eta = float(brentq(power_gap, lo, hi, xtol=1e-12))
+    if K > 1:
+        # the probit of the power climbs with eta a little slower than the
+        # single-stage test's unit rate; at eta = 0 the power is the attained level
+        eta = _probit_root(power_gap, eta_ref, 1.0, 0.0, eta_max)
+        if eta is None:
+            if power_gap(eta_ref) > 0:
+                raise SolveError(floor)
+            raise SolveError(
+                f"power {1 - spec.beta} unattainable below {_MAX_INFLATION}x the single-stage size"
+            )
         max_n = (eta / spec.tau) ** 2 / spec.information_for_total(1.0)
 
     stage_n = rho * max_n
@@ -291,7 +280,7 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     control_n = stage_n / (1.0 + r)
     experimental_n = stage_n * r / (1.0 + r)
     info_levels = tuple(rho * spec.information_for_total(max_n))
-    # brentq returns a point it has evaluated, so at mu_eval = tau this is a cache hit
+    # the search returns a point it has evaluated, so at mu_eval = tau this is a cache hit
     exit = exits(eta * (spec.evaluation_effect / spec.tau))
     ess = float(np.dot(exit.stop_per_stage, stage_n))
     return GroupSequentialDesign(

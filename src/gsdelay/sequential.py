@@ -52,6 +52,7 @@ efficacy bound above 8 (Wang-Tsiatis shapes below zero), takes that path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -105,6 +106,12 @@ _EMPTY = np.empty(0)
 _SMALLEST_P = math.ulp(0.0)
 _LARGEST_P = 1.0 - 2.0**-53
 
+# A root search stops at a probit gap, or a bracket, this small times max(1, |x|).
+_ROOT_TOL = 1e-12
+
+# Secant steps a root search may take before it only bisects, so that it ends.
+_SECANT_STEPS = 16
+
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
@@ -120,6 +127,55 @@ def _clipped_probit(p: float) -> float:
     so root searches on the probit scale never see an infinity.
     """
     return float(ndtri(min(max(p, _SMALLEST_P), _LARGEST_P)))
+
+
+def _probit_root(gap, x: float, slope: float, lo: float, hi: float, gap_lo=None, gap_hi=None):
+    """Root in [lo, hi] of gap, an increasing difference of two probits.
+
+    A safeguarded secant: the first step goes from x with the given slope,
+    each later one is the secant through the last two points evaluated, and
+    a step that would leave the bracket bisects it instead. The bracket's
+    ends keep their signs: gap_lo and gap_hi are an end's gap where it was
+    evaluated, an infinity where a bound fixes its sign, or None where it
+    is unchecked. A step past an unchecked end evaluates that end, and so
+    does a search that closes onto one. The search stops at
+    |gap| <= 1e-12 max(1, |x|) or a bracket as narrow, and returns a point it
+    evaluated (of least |gap|), so a caller's cache of gap's work holds the
+    result's; or None when an unchecked end shows the root outside [lo, hi].
+    """
+    last = None
+    for step in itertools.count():
+        g = gap(x)
+        tol = _ROOT_TOL * max(1.0, abs(x))
+        if abs(g) <= tol:
+            return x
+        if g < 0.0:
+            if x >= hi:
+                return None
+            lo, gap_lo = x, g
+        else:
+            if x <= lo:
+                return None
+            hi, gap_hi = x, g
+        if hi - lo <= tol:
+            if gap_lo is None or gap_hi is None:
+                x = lo if gap_lo is None else hi
+                continue
+            return lo if abs(gap_lo) <= abs(gap_hi) else hi
+        if last is None:
+            step_to = x - g / slope
+        else:
+            x_last, g_last = last
+            step_to = x - g * (x - x_last) / (g - g_last) if g != g_last else math.nan
+        last = x, g
+        if step < _SECANT_STEPS and lo < step_to < hi:
+            x = step_to
+        elif step_to >= hi and gap_hi is None:
+            x = hi
+        elif step_to <= lo and gap_lo is None:
+            x = lo
+        else:
+            x = 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from gsdelay import boundaries, design
+from gsdelay import boundaries, design, sequential
 from gsdelay.boundaries import (
     FutilityStyle,
     HwangShihDeCani,
@@ -88,11 +88,20 @@ class TestWangTsiatis:
         with pytest.raises(ConfigError, match="alpha"):
             wt_boundaries(1, (1.0,), 0.25, 1e-25)
 
+    def test_stage_one_end_above_the_cap_is_a_config_error(self, monkeypatch):
+        # rho_1^2.5 = 0.064, so the stage-1 end 0.999 z_{0.975} / 0.064 is
+        # about 30: the search is refused before any density recursion
+        calls = []
+        monkeypatch.setattr(boundaries, "exit_probabilities", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="^no Wang-Tsiatis constant up to 10 attains alpha=0.025$"):
+            wt_boundaries(3, EQUAL_3, 3.0, 0.025)
+        assert calls == []
+
     @pytest.mark.parametrize("alpha", [0.45, 0.47, 0.49, 0.499])
     @pytest.mark.parametrize("K", [1, 2, 3, 5])
     def test_level_near_one_half_is_attained(self, K, alpha):
         # the bracket runs from stage-1 rejection at 0.999 z_{1-alpha}, which
-        # is near zero here, to the Bonferroni cap
+        # is near zero here, to 1.001 times the Bonferroni constant
         rho = tuple((k + 1) / K for k in range(K))
         for shape in (0.0, 0.25, 0.5):
             for style in FutilityStyle:
@@ -206,6 +215,26 @@ class TestSpendingBoundaries:
             assert built.exit_at(0.0).total_reject == pytest.approx(0.05, abs=1e-6)
             assert built.exit_at(spec.tau).total_reject == pytest.approx(0.9, abs=1e-6)
 
+    @pytest.mark.parametrize("style", list(FutilityStyle))
+    @pytest.mark.parametrize("gamma", [30.0, 40.0])
+    def test_each_stage_spends_its_own_increment(self, gamma, style):
+        # the last increments (down to 1.7e-17 at gamma 40) lie below the
+        # rounding of the running total, so each stage matches its own
+        # increment rather than a cumulative target
+        K, alpha = 8, 0.025
+        rho = tuple((k + 1) / K for k in range(K))
+        increments = np.diff([0.0] + [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha])
+        bounds = spending_boundaries(K, rho, gamma, alpha, style)
+        problem = SequentialProblem(rho, 0.0, bounds.efficacy, bounds.futility)
+        reject = exit_probabilities(problem).reject_per_stage
+        assert np.all(np.abs(np.array(reject) / increments - 1.0) <= 1e-9)
+
+    def test_unbracketed_stage_is_a_solve_error(self):
+        # gamma -700 spends almost all of alpha = 0.45 at the last look, more
+        # than the few trials the binding futility bounds let reach it
+        with pytest.raises(SolveError, match=r"^stage 3 spending bound not bracketed in \[-4.0, 12.0\]$"):
+            spending_boundaries(3, EQUAL_3, -700.0, 0.45, FutilityStyle.BINDING_ZERO)
+
     def test_dispatch(self):
         wt = build_boundaries(WangTsiatis(0.25), 3, EQUAL_3, 0.05, FutilityStyle.BINDING_ZERO)
         hsd = build_boundaries(HwangShihDeCani(-2.0), 3, EQUAL_3, 0.05, FutilityStyle.BINDING_ZERO)
@@ -287,28 +316,44 @@ def budget_grid():
 
 
 def test_recursion_budget(monkeypatch):
-    """Density recursions per solve over K 1-10, both families, every futility style."""
-    calls = {"boundaries": 0, "design": 0}
+    """Search work per build over K 1-10, both families, every futility style.
 
-    def counting(module):
+    Counts density recursions per boundary solve, tilted evaluations per
+    build with K > 1 and crossing integrals per Hwang-Shih-DeCani stage.
+    """
+    calls = {"boundaries": 0, "design": 0, "tilt": 0, "above": 0}
+
+    def counting(key, original):
         def wrapped(*args, **kwargs):
-            calls[module] += 1
-            return exit_probabilities(*args, **kwargs)
+            calls[key] += 1
+            return original(*args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(boundaries, "exit_probabilities", counting("boundaries"))
-    monkeypatch.setattr(design, "exit_probabilities", counting("design"))
+    monkeypatch.setattr(boundaries, "exit_probabilities", counting("boundaries", exit_probabilities))
+    monkeypatch.setattr(design, "exit_probabilities", counting("design", exit_probabilities))
+    monkeypatch.setattr(sequential._Tilt, "__call__", counting("tilt", sequential._Tilt.__call__))
+    monkeypatch.setattr(
+        sequential._StageStepper, "above", counting("above", sequential._StageStepper.above)
+    )
     worst = {"wt": 0, "hsd": 0, "power": 0}
+    tilts, above = [], []
     for spec in budget_grid():
-        calls.update(boundaries=0, design=0)
+        calls.update(boundaries=0, design=0, tilt=0, above=0)
         design.build_design(spec)
         kind = "wt" if isinstance(spec.family, WangTsiatis) else "hsd"
         worst[kind] = max(worst[kind], calls["boundaries"])
         worst["power"] = max(worst["power"], calls["design"])
+        if spec.num_stages > 1:
+            tilts.append(calls["tilt"])
+        if kind == "hsd":
+            above.append(calls["above"] / spec.num_stages)
     assert worst["hsd"] <= 1
-    assert worst["wt"] <= 10
+    assert worst["wt"] <= 6
     assert worst["power"] <= 12
+    # measured: 5.07 and 8 tilted evaluations, 4.51 and 6.375 crossing integrals
+    assert np.mean(tilts) <= 5.1 and max(tilts) <= 8
+    assert np.mean(above) <= 4.6 and max(above) <= 6.375
 
 
 def test_power_search_makes_no_recursion(monkeypatch):

@@ -16,6 +16,7 @@ from gsdelay.design import (
     single_stage_n,
 )
 from gsdelay.errors import ConfigError, SolveError
+from gsdelay.sequential import normal_quantile
 
 
 def wt_spec(K, **kwargs):
@@ -100,6 +101,23 @@ class TestBuildDesign:
     def test_unattainable_power_floor(self):
         with pytest.raises(SolveError, match="floor"):
             build_design(wt_spec(2, beta=0.96))
+
+    def test_power_beyond_the_inflation_cap_is_refused_at_the_cap(self, monkeypatch):
+        # the binding futility bound at 1% of the information accepts with
+        # probability Phi(-0.1 eta) > 1e-30 at every eta up to sqrt(50) eta_ref
+        seen = []
+        tilt = sequential._Tilt.__call__
+
+        def recording(self, eta):
+            seen.append(eta)
+            return tilt(self, eta)
+
+        monkeypatch.setattr(sequential._Tilt, "__call__", recording)
+        with pytest.raises(SolveError, match=r"^power 1.0 unattainable below 50.0x the single-stage size$"):
+            build_design(wt_spec(2, beta=1e-30, info_fractions=(0.01, 1.0)))
+        eta_ref = -(normal_quantile(0.05) + normal_quantile(1e-30))
+        # the search evaluates the end it found past every step before refusing
+        assert max(seen) == pytest.approx(math.sqrt(50.0) * eta_ref, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.96, 0.999])
     def test_power_below_the_level_is_refused_before_any_solve(self, monkeypatch, beta):

@@ -85,6 +85,53 @@ class TestNormalQuantile:
         assert _clipped_probit(0.05) == normal_quantile(0.05)
 
 
+def recorded(gap):
+    """gap, and the list of the points it is evaluated at."""
+    seen = []
+
+    def wrapped(x):
+        seen.append(x)
+        return gap(x)
+
+    return wrapped, seen
+
+
+class TestProbitRoot:
+    @given(
+        root=st.floats(-3.0, 3.0),
+        rate=st.floats(0.05, 50.0),
+        cubic=st.floats(0.0, 2.0),
+        start=st.floats(-4.9, 4.9),
+        slope=st.floats(0.2, 5.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_returns_an_evaluated_root_between_fixed_ends(self, root, rate, cubic, start, slope):
+        # the arctangent flattens away from the root, where secant steps leave
+        # the bracket; ends whose sign is fixed are never evaluated
+        gap, seen = recorded(lambda x: math.atan(rate * (x - root)) + cubic * (x - root) ** 3)
+        x = sequential._probit_root(gap, start, slope, -5.0, 5.0, -math.inf, math.inf)
+        assert x in seen and -5.0 not in seen and 5.0 not in seen
+        assert abs(x - root) <= 1e-10
+        assert len(seen) <= 70
+
+    @pytest.mark.parametrize("root, end", [(7.0, 5.0), (-7.0, -5.0)])
+    def test_a_step_past_an_unchecked_end_evaluates_it(self, root, end):
+        gap, seen = recorded(lambda x: x - root)
+        assert sequential._probit_root(gap, 0.0, 1.0, -5.0, 5.0) is None
+        assert seen == [0.0, end]
+
+    @pytest.mark.parametrize("at_end", [1.0, -1.0])
+    def test_closing_onto_an_unchecked_end_evaluates_it(self, at_end):
+        # a flat gap gives no secant, so the search bisects up to the end
+        gap, seen = recorded(lambda x: at_end if x >= 5.0 else -1.0)
+        x = sequential._probit_root(gap, 1.0, 1.0, 0.0, 5.0)
+        assert seen[-1] == 5.0 and seen.count(5.0) == 1
+        if at_end > 0:
+            assert x in seen and 0.0 < 5.0 - x <= 5e-12
+        else:
+            assert x is None
+
+
 def make_problem(K, theta, efficacy, futility, info=None):
     info = tuple(info) if info is not None else tuple((k + 1.0) for k in range(K))
     return SequentialProblem(info, theta, tuple(efficacy), tuple(futility))

@@ -4,7 +4,9 @@ Each stage has its own Simpson grid of ``nodes`` points on the z-scale over
 the continuation interval clipped to mean +/- 8, and each advance builds the
 full nodes x nodes Gaussian kernel. At 1201 nodes it is the accuracy
 reference of the recursion tests; at its old default of 301 nodes it gives
-the error bound that the lattice must meet.
+the error bound that the lattice must meet. Its spending solve keeps its own
+brentq search and must not use the library's root search, which the
+spending-solve accuracy tests compare it with.
 """
 
 import math
