@@ -82,14 +82,12 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _check_sizing(alpha, beta, tau, sigma0_sq, sigma1_sq, allocation) -> None:
+def _check_sizing(alpha, beta, tau, allocation) -> None:
     """The range rules on every input of the single-stage size."""
     _check_alpha(alpha)
     _check_beta(beta)
-    for name, value in (
-        ("tau", tau), ("sigma0_sq", sigma0_sq), ("sigma1_sq", sigma1_sq), ("allocation", allocation)
-    ):
-        _check_positive(name, value)
+    _check_positive("tau", tau)
+    _check_positive("allocation", allocation)
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,6 @@ class DesignSpec:
         futility: futility style, binding throughout.
         mu_eval: effect at which operating characteristics are evaluated
             (defaults to tau).
-        sigma0_sq / sigma1_sq: known outcome variances per arm.
         info_fractions: information fractions rho_k, defaulting to k/K.
         allocation: experimental-to-control allocation ratio.
     """
@@ -117,15 +114,11 @@ class DesignSpec:
     family: BoundaryFamily = field(default_factory=lambda: WangTsiatis(0.25))
     futility: FutilityStyle = FutilityStyle.BINDING_ZERO
     mu_eval: float | None = None
-    sigma0_sq: float = 1.0
-    sigma1_sq: float = 1.0
     info_fractions: tuple[float, ...] | None = None
     allocation: float = 1.0
 
     def __post_init__(self):
-        _check_sizing(
-            self.alpha, self.beta, self.tau, self.sigma0_sq, self.sigma1_sq, self.allocation
-        )
+        _check_sizing(self.alpha, self.beta, self.tau, self.allocation)
         _check_stages(self.num_stages)
         if self.mu_eval is not None:
             _check_finite("mu_eval", self.mu_eval)
@@ -148,7 +141,7 @@ class DesignSpec:
     def information_for_total(self, n: float) -> float:
         """Fisher information of the treatment-difference estimate at total size n."""
         r = self.allocation
-        return n / ((1.0 + r) * (self.sigma0_sq + self.sigma1_sq / r))
+        return n / ((1.0 + r) * (1.0 + 1.0 / r))
 
 
 @dataclass(frozen=True)
@@ -183,22 +176,15 @@ class GroupSequentialDesign:
         return exit_probabilities(problem, nodes=nodes)
 
 
-def single_stage_n(
-    alpha: float,
-    beta: float,
-    tau: float,
-    sigma0_sq: float = 1.0,
-    sigma1_sq: float = 1.0,
-    allocation: float = 1.0,
-) -> float:
+def single_stage_n(alpha: float, beta: float, tau: float, allocation: float = 1.0) -> float:
     """Total sample size of the single-look z-test (continuous, not rounded).
 
-    With equal allocation this is 2(s0^2+s1^2)(z_{1-alpha}+z_{1-beta})^2/tau^2.
+    With equal allocation this is 4(z_{1-alpha}+z_{1-beta})^2/tau^2.
     """
-    _check_sizing(alpha, beta, tau, sigma0_sq, sigma1_sq, allocation)
+    _check_sizing(alpha, beta, tau, allocation)
     z = -(normal_quantile(alpha) + normal_quantile(beta))
     r = allocation
-    return (1.0 + r) * (sigma0_sq + sigma1_sq / r) * (z / tau) ** 2
+    return (1.0 + r) * (1.0 + 1.0 / r) * (z / tau) ** 2
 
 
 def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentialDesign:
@@ -235,9 +221,7 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     if spec.beta > 1.0 - spec.alpha:
         raise SolveError(floor)
     bounds = build_boundaries(spec.family, K, rho, spec.alpha, spec.futility, nodes)
-    n_ref = single_stage_n(
-        spec.alpha, spec.beta, spec.tau, spec.sigma0_sq, spec.sigma1_sq, spec.allocation
-    )
+    n_ref = single_stage_n(spec.alpha, spec.beta, spec.tau, spec.allocation)
     eta_ref = spec.tau * math.sqrt(spec.information_for_total(n_ref))
     if not eta_ref > 0.0:
         raise ConfigError(

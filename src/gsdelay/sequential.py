@@ -37,8 +37,9 @@ identity, so where the bounds clip both windows the tilt and the drifted
 recursion give the same quadrature to rounding; elsewhere they integrate
 the same density on shifted lattices. A zero-drift
 ``exit_probabilities`` therefore keeps each interim's nodes and weighted
-density, and ``_Tilt`` gives the exit probabilities at any drift from them
-in O(n) per stage, with no convolution; the boundary solves keep the tables
+density, and ``_Tilt`` walks those tables one stage at a time, as the
+recursion walks its stepper, to give the exit probabilities at any drift in
+O(n) per stage, with no convolution; the boundary solves keep the tables
 of their final pass, and the power search of ``design`` runs on them.
 
 The tilt sees only the null windows, mean +/- 8 at zero drift clipped to
@@ -447,8 +448,8 @@ class _Tilt:
     drift on the same information levels and bounds, or the ones a boundary
     solve keeps. Under drift theta the continuing sub-density at each node s
     is the null one times exp(theta * s - theta^2 * I_k / 2), and the next
-    increment's mean moves by theta * dI, so every stage costs O(n) and no
-    convolution; all stages' nodes are evaluated together in one array.
+    increment's mean moves by theta * dI, so the tilt walks the stages as the
+    recursion does, at O(n) per stage and with no convolution.
 
     The tilt reweights only the nodes of the null windows, mean +/- 8 at zero
     drift clipped to (f_k, e_k]. Where a bound beyond 8 lets the drifted
@@ -467,60 +468,39 @@ class _Tilt:
         # stage 1 is normal; the last stage accepts below its efficacy bound
         f[K - 1] = e[K - 1]
         self._first = sqrt_i[0], e[0], f[0]
-        self._stages = K
         # the null windows' edges at +/- 8: the missed mass is Phi(theta * this - 8)
         self._guard = np.concatenate(
             (sqrt_i[:-1][e[:-1] > _TAIL_WIDTH], -sqrt_i[:-1][f[:-1] < -_TAIL_WIDTH])
         )
-        if K == 1 or not self._usable:
-            self._s = _EMPTY
-            return
-        self._sizes = [s.size for s, _ in tables]
-
-        def per_node(values):
-            return np.repeat(values, self._sizes)
-
-        sd = np.sqrt(np.diff(info))
-        self._s = np.concatenate([s for s, _ in tables])
-        self._wg = np.concatenate([wg for _, wg in tables])
-        self._stage = per_node(np.arange(1, K))
-        self._half_i = info[:-1] / 2.0
-        # the next increment's mean, theta * dI, is theta * sd in units of its sd;
-        # the continuing Z_k crosses e_k with probability Phi(above + theta * sd)
-        # and falls to f_k or below with probability Phi(below - theta * sd)
-        self._sd = sd
-        s_sd = self._s / per_node(sd)
-        self._above = s_sd - per_node(e[1:] * sqrt_i[1:] / sd)
-        below = per_node(f[1:] * sqrt_i[1:] / sd) - s_sd
-        # an infinite futility bound accepts nothing: only the other nodes count
-        finite = np.isfinite(below)
-        self._accepting = slice(None) if finite.all() else np.flatnonzero(finite)
-        self._below = below[self._accepting]
+        # per stage k past the first: the nodes s and weighted density of the
+        # interim before it, I_{k-1} / 2, the increment's sd, and the offsets of
+        # s from e_k and f_k in units of that sd. Under drift theta the
+        # increment's mean is theta * sd in those units, so Z_k crosses e_k with
+        # probability Phi(above + theta * sd) and falls to f_k or below with
+        # Phi(below - theta * sd); an infinite f_k accepts nothing.
+        self._walk = []
+        for k, (s, wg) in enumerate(tables if self._usable else (), start=1):
+            sd = math.sqrt(info[k] - info[k - 1])
+            s_sd = s / sd
+            above = s_sd - e[k] * sqrt_i[k] / sd
+            below = f[k] * sqrt_i[k] / sd - s_sd if math.isfinite(f[k]) else None
+            self._walk.append((s, wg, info[k - 1] / 2.0, sd, above, below))
 
     def __call__(self, theta: float) -> ExitProbabilities | None:
         if not self._usable:
             return None
         if not float(np.sum(ndtr(theta * self._guard - _TAIL_WIDTH))) <= _TILT_MISS:
             return None
-        K = self._stages
         sqrt_i1, e1, f1 = self._first
         mean = theta * sqrt_i1
-        reject = np.zeros(K)
-        accept = np.zeros(K)
+        K = len(self._walk) + 1
+        reject, accept = np.zeros(K), np.zeros(K)
         reject[0] = ndtr(mean - e1)
         accept[0] = ndtr(f1 - mean)
-        if self._s.size:
-            # in place, to hold few lattice-sized arrays at once
-            tilted = theta * self._s
-            tilted -= np.repeat(theta * theta * self._half_i, self._sizes)
-            np.exp(tilted, out=tilted)
-            tilted *= self._wg
-            shift = np.repeat(theta * self._sd, self._sizes)
-            crossed = ndtr(self._above + shift)
-            crossed *= tilted
-            reject += np.bincount(self._stage, weights=crossed, minlength=K)
-            ix = self._accepting
-            crossed = ndtr(self._below - shift[ix])
-            crossed *= tilted[ix]
-            accept += np.bincount(self._stage[ix], weights=crossed, minlength=K)
+        for k, (s, wg, half_i, sd, above, below) in enumerate(self._walk, start=1):
+            tilted = wg * np.exp(theta * s - theta * theta * half_i)
+            shift = theta * sd
+            reject[k] = np.dot(tilted, ndtr(above + shift))
+            if below is not None:
+                accept[k] = np.dot(tilted, ndtr(below - shift))
         return _summing_to_one(accept, reject)

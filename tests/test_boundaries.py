@@ -289,6 +289,16 @@ class TestAgainstReferenceSpendingSolve:
         bounds = spending_boundaries(5, rho, -2.0, 0.025, style)
         assert solve_error(bounds, expected) <= ZGRID_301_DEFAULT_SCHEDULE_ERROR
 
+    @pytest.mark.parametrize("style", list(FutilityStyle))
+    @pytest.mark.parametrize("gamma", [30.0, 40.0])
+    def test_steep_schedules(self, gamma, style):
+        # the last increments of these schedules lie near the rounding of the
+        # cumulative spend, so each stage must match its own increment
+        rho = np.arange(1, 9) / 8
+        expected = zgrid_spending_boundaries(8, rho, gamma, 0.025, style, 1201)
+        bounds = spending_boundaries(8, rho, gamma, 0.025, style)
+        assert solve_error(bounds, expected) <= ZGRID_301_WORST_SOLVE_ERROR
+
     def test_empty_continuation_leaves_the_next_stage_unbracketed(self):
         # spending almost all of alpha = 0.49 by the second look needs e_2 < 0,
         # below the binding futility bound at zero, so no trial would reach

@@ -31,10 +31,6 @@ class TestSingleStageN:
         assert single_stage_n(0.025, 0.1, 0.5) == pytest.approx(168.12, abs=0.02)
         assert single_stage_n(0.025, 0.2, 0.4) == pytest.approx(196.2, abs=0.3)
 
-    def test_scales_with_variances(self):
-        base = single_stage_n(0.05, 0.1, 0.5, 1.0, 1.0)
-        assert single_stage_n(0.05, 0.1, 0.5, 2.0, 2.0) == pytest.approx(2 * base, rel=1e-12)
-
     def test_rejects_non_positive_effect(self):
         with pytest.raises(ConfigError):
             single_stage_n(0.05, 0.1, 0.0)
@@ -220,7 +216,7 @@ class TestNullTables:
 
 
 NON_FINITE_OR_ZERO = [math.nan, math.inf, -math.inf, 0.0]
-SIZING_FIELDS = ["alpha", "beta", "tau", "sigma0_sq", "sigma1_sq", "allocation"]
+SIZING_FIELDS = ["alpha", "beta", "tau", "allocation"]
 
 
 class TestRangeRules:
@@ -235,7 +231,7 @@ class TestRangeRules:
     @pytest.mark.parametrize("value", NON_FINITE_OR_ZERO)
     @pytest.mark.parametrize("field", SIZING_FIELDS)
     def test_single_stage_n_names_the_field(self, field, value):
-        args = dict(alpha=0.05, beta=0.1, tau=0.5, sigma0_sq=1.0, sigma1_sq=1.0, allocation=1.0)
+        args = dict(alpha=0.05, beta=0.1, tau=0.5, allocation=1.0)
         with pytest.raises(ConfigError, match=f"^{field} = "):
             single_stage_n(**{**args, field: value})
 

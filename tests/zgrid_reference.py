@@ -113,17 +113,20 @@ def zgrid_spending_boundaries(K, rho, gamma, alpha, futility, nodes):
         FutilityStyle.NONE: lambda e: -math.inf,
     }[futility]
     targets = [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha]
-    if np.any(np.diff([0.0] + targets) <= 0):
+    increments = np.diff([0.0] + targets)
+    if np.any(increments <= 0):
         return ConfigError
     stepper = ZGridStepper(rho, 0.0, nodes)
     solved, crossed = [], []
     for k in range(K):
 
-        def cumulative_error(x):
-            return sum(crossed + [stepper.above(x)]) - targets[k]
+        # each stage spends its own increment: late increments of a steep
+        # schedule lie below the rounding of the cumulative spend
+        def spend_error(x):
+            return stepper.above(x) - increments[k]
 
         try:
-            e_k = brentq(cumulative_error, -4.0, 12.0, xtol=1e-12)
+            e_k = brentq(spend_error, -4.0, 12.0, xtol=1e-12)
         except ValueError:
             return SolveError
         solved.append(e_k)
