@@ -35,6 +35,18 @@ class TestSingleStageN:
         with pytest.raises(ConfigError):
             single_stage_n(0.05, 0.1, 0.0)
 
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_drift_at_the_single_stage_size(self, r):
+        # at unit variances the information of n = n0 + n1 with n1 = r * n0 is
+        # 1 / (1/n0 + 1/n1), and at the single-look size the drift is
+        # z_{1-alpha} + z_{1-beta}
+        n = single_stage_n(0.05, 0.1, 0.5, r)
+        info = wt_spec(2, allocation=r).information_for_total(n)
+        n0, n1 = n / (1.0 + r), r * n / (1.0 + r)
+        assert info == pytest.approx(1.0 / (1.0 / n0 + 1.0 / n1), rel=1e-12)
+        z = -(normal_quantile(0.05) + normal_quantile(0.1))
+        assert 0.5 * math.sqrt(info) == pytest.approx(z, rel=1e-12)
+
 
 class TestBuildDesign:
     def test_single_stage_identity(self):

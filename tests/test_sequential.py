@@ -340,6 +340,22 @@ class TestTiltedEvaluation:
                 assert got is not None
                 assert max_abs_error(got, direct(rho, bounds, eta)) <= 1e-12
 
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "family", [WangTsiatis(0.5), WangTsiatis(0.0), WangTsiatis(0.25)],
+        ids=["pocock", "obrien-fleming", "wt-0.25"],
+    )
+    def test_paper_designs_take_the_tilt(self, family, K):
+        # the delay study's designs: alpha 0.05, binding futility at zero, so
+        # every null window lies inside +/- 8 and each stage's walk is exact
+        # up to summation order, zero drift included
+        rho = np.arange(1, K + 1) / K
+        bounds = build_boundaries(family, K, rho, 0.05, FutilityStyle.BINDING_ZERO)
+        for eta in (0.0, 1.5, 3.0, 4.5):
+            got = tilted(rho, bounds, eta)
+            assert got is not None
+            assert max_abs_error(got, direct(rho, bounds, eta)) <= 1e-14
+
     def test_an_early_bound_beyond_8_takes_the_recursion(self, monkeypatch):
         # e_1 = 11.6: the null window stops at 8, and at eta = 10 the drifted
         # stage-1 density reaches past it
