@@ -6,9 +6,9 @@ Two families are supported:
   Pocock (shape 0.5, constant bound) and O'Brien-Fleming (shape 0) as special
   cases; the constant C is solved so the overall one-sided type I error under
   zero drift equals alpha, with the futility bounds treated as binding. A
-  secant on the probit scale of the level starts just above the Bonferroni
-  constant and stays in a bracket down to stage-1 rejection, with about 5
-  recursions per solve;
+  secant on the probit scale of the level starts at a closed-form point
+  near the Bonferroni constant and stays in a bracket down to stage-1
+  rejection, with about 5 recursions per solve;
 * error-spending boundaries from the Hwang-Shih-DeCani spending function,
   solved stage by stage so the cumulative rejection probability at analysis k
   equals the spent error at information fraction rho_k: stage k matches
@@ -183,12 +183,15 @@ def wt_boundaries(
     """Wang-Tsiatis boundaries at one-sided level alpha with binding futility.
 
     The constant is solved on the probit scale, where the level is close to
-    linear in it. Every futility style rejects less than sum_k Phi(-e_k), so
-    the level is below alpha at 1.001 times the constant that makes this sum
-    alpha (Bonferroni): the search evaluates there first, then steps with
-    the single-stage slope 1. Stage 1 alone rejects with probability
+    linear in it. With s_k = rho_k^(shape - 1/2) the search evaluates first
+    at z_{1-alpha/K} / min(s_1, mean_k s_k), then steps with the
+    single-stage slope 1. For flat bounds (Pocock) that start is the
+    Bonferroni constant, at which sum_k Phi(-e_k) = alpha; for shape > 1/2,
+    where s_1 is the smallest scale, it is the Bonferroni upper end, where
+    every term is at most alpha / K. Stage 1 alone rejects with probability
     Phi(-e_1), so the level is at least alpha when e_1 = 0.999 z_{1-alpha};
-    that end is never evaluated. The constant is capped at 10.
+    that end lies below the start, unless the cap of 10 on the constant
+    binds and the solve is refused, and is never evaluated.
 
     Args:
         K: number of analyses.
@@ -218,8 +221,9 @@ def wt_boundaries(
 
     # stage 1 alone rejects with probability Phi(-e_1) > alpha at lo
     lo = -0.999 * probit_alpha / float(scale[0])
-    start = min(_WT_MAX, 1.001 * _bonferroni_constant(scale, alpha, probit_alpha))
-    c = _probit_root(level_gap, start, 1.0, lo, _WT_MAX, gap_lo=-math.inf) if lo < start else None
+    # z_{1-alpha/K} over the first or the mean scale, whichever is smaller
+    start = min(_WT_MAX, -_clipped_probit(alpha / K) / min(float(scale[0]), float(scale.mean())))
+    c = _probit_root(level_gap, start, lo, _WT_MAX, gap_lo=-math.inf) if lo < start else None
     if c is None:
         raise ConfigError(f"no Wang-Tsiatis constant up to {_WT_MAX:g} attains alpha={alpha}")
     # cached: the search returns a point it has evaluated
@@ -227,29 +231,6 @@ def wt_boundaries(
     e = c * scale
     f = _apply_futility(e, futility)
     return BoundarySet(tuple(e), tuple(f), solved.total_reject, solved._null_tables)
-
-
-def _bonferroni_constant(scale: np.ndarray, alpha: float, probit_alpha: float) -> float:
-    """The C at which sum_k Phi(-C s_k) = alpha, or the cap where it lies above.
-
-    The root lies between z_{1-alpha} / max s_k, where the largest term
-    alone is alpha, and z_{1-alpha/K} / min s_k, where every term is at most
-    alpha / K.
-    """
-    # Phi(-c s) = erfc(c s / sqrt 2) / 2, cheaper in scalar math for few stages
-    scaled = [float(s) / math.sqrt(2.0) for s in scale]
-
-    def bonferroni_gap(c: float) -> float:
-        return probit_alpha - _clipped_probit(0.5 * sum(math.erfc(c * s) for s in scaled))
-
-    lo = -probit_alpha / float(scale.max())
-    if not lo < _WT_MAX:
-        return _WT_MAX
-    hi = min(_WT_MAX, -_clipped_probit(alpha / scale.size) / float(scale.min()))
-    # the root when every s_k is 1, as for Pocock's shape
-    start = min(hi, -_clipped_probit(alpha / scale.size))
-    c = _probit_root(bonferroni_gap, start, 1.0, lo, hi, gap_lo=-math.inf)
-    return _WT_MAX if c is None else c
 
 
 def hsd_spend(t: float, gamma: float, alpha: float) -> float:
@@ -293,7 +274,10 @@ def spending_boundaries(
     targets = [hsd_spend(t, gamma, alpha) for t in rho[:-1]] + [alpha]
     increments = np.diff([0.0] + targets)
     if np.any(increments <= 0):
-        raise ConfigError("spend increments must be strictly increasing across stages")
+        k = int(np.argmax(increments <= 0)) + 1
+        raise ConfigError(
+            f"gamma = {gamma:g} spends no alpha at stage {k}: every stage must spend some"
+        )
 
     # The stage-k crossing is one integral against the stage-(k-1) density,
     # which the solved e_1..e_{k-1} fix: a single pass of the recursion.
@@ -311,7 +295,7 @@ def spending_boundaries(
         lo, hi = _SPEND_BRACKET
         hi = max(hi, -1.001 * probit_d)
         # z_{1-d} would be the root if every trial reached stage k
-        e_k = _probit_root(spend_gap, -probit_d, 1.0, lo, hi)
+        e_k = _probit_root(spend_gap, -probit_d, lo, hi)
         if e_k is None:
             raise SolveError(f"stage {k + 1} spending bound not bracketed in [{lo}, {hi}]")
         solved.append(e_k)

@@ -123,7 +123,7 @@ class DesignSpec:
         if self.mu_eval is not None:
             _check_finite("mu_eval", self.mu_eval)
         if not self.tau * self.tau * self.information_for_total(1.0) > _MIN_NONCENTRALITY:
-            raise ConfigError("tau is too small for the variances and allocation: sizes overflow")
+            raise ConfigError("tau is too small for the allocation: sizes overflow")
         if self.info_fractions is not None:
             _check_fractions(self.info_fractions, self.num_stages)
 
@@ -250,7 +250,7 @@ def build_design(spec: DesignSpec, nodes: int = DEFAULT_NODES) -> GroupSequentia
     if K > 1:
         # the probit of the power climbs with eta a little slower than the
         # single-stage test's unit rate; at eta = 0 the power is the attained level
-        eta = _probit_root(power_gap, eta_ref, 1.0, 0.0, eta_max)
+        eta = _probit_root(power_gap, eta_ref, 0.0, eta_max)
         if eta is None:
             if power_gap(eta_ref) > 0:
                 raise SolveError(floor)

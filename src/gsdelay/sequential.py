@@ -130,21 +130,22 @@ def _clipped_probit(p: float) -> float:
     return float(ndtri(min(max(p, _SMALLEST_P), _LARGEST_P)))
 
 
-def _probit_root(gap, x: float, slope: float, lo: float, hi: float, gap_lo=None, gap_hi=None):
+def _probit_root(gap, x: float, lo: float, hi: float, gap_lo=None):
     """Root in [lo, hi] of gap, an increasing difference of two probits.
 
-    A safeguarded secant: the first step goes from x with the given slope,
-    each later one is the secant through the last two points evaluated, and
-    a step that would leave the bracket bisects it instead. The bracket's
-    ends keep their signs: gap_lo and gap_hi are an end's gap where it was
-    evaluated, an infinity where a bound fixes its sign, or None where it
-    is unchecked. A step past an unchecked end evaluates that end, and so
-    does a search that closes onto one. The search stops at
-    |gap| <= 1e-12 max(1, |x|) or a bracket as narrow, and returns a point it
-    evaluated (of least |gap|), so a caller's cache of gap's work holds the
-    result's; or None when an unchecked end shows the root outside [lo, hi].
+    A safeguarded secant: the first step goes from x with the slope 1 of a
+    single normal tail's probit, each later one is the secant through the
+    last two points evaluated, and a step that would leave the bracket
+    bisects it instead. The bracket's ends keep their signs: gap_lo is the
+    lower end's gap where it was evaluated, -inf where a bound fixes its
+    sign, or None where it is unchecked, and the upper end starts unchecked.
+    A step past an unchecked end evaluates that end, and so does a search
+    that closes onto one. The search stops at |gap| <= 1e-12 max(1, |x|)
+    or a bracket as narrow, and returns a point it evaluated (of least
+    |gap|), so a caller's cache of gap's work holds the result's; or None
+    when an unchecked end shows the root outside [lo, hi].
     """
-    last = None
+    gap_hi = last = None
     for step in itertools.count():
         g = gap(x)
         tol = _ROOT_TOL * max(1.0, abs(x))
@@ -164,7 +165,7 @@ def _probit_root(gap, x: float, slope: float, lo: float, hi: float, gap_lo=None,
                 continue
             return lo if abs(gap_lo) <= abs(gap_hi) else hi
         if last is None:
-            step_to = x - g / slope
+            step_to = x - g
         else:
             x_last, g_last = last
             step_to = x - g * (x - x_last) / (g - g_last) if g != g_last else math.nan

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsdelay
 from gsdelay.cli import main
 
 DESIGN_SCENARIO = """\
@@ -216,6 +220,8 @@ class TestBadInputsExitCleanly:
         "design_line, delay_line",
         [
             ("tau = 0.5\nfamily = hsd\ngamma = -1000", "m = 3"),
+            # the spend schedule reaches alpha by the first look
+            ("tau = 0.5\nfamily = hsd\ngamma = 700", "m = 3"),
             ("tau = 0.5\nfamily = wang-tsiatis", "m = inf"),
             ("tau = 0.5\nfamily = wang-tsiatis", "m = nan"),
             ("tau = 1e-300\nfamily = wang-tsiatis", "m = 3"),
@@ -229,6 +235,38 @@ class TestBadInputsExitCleanly:
         assert main(["sweep", "--scenario", scenario_file(text)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unattainable_power_is_a_numerical_failure(scenario_file, capsys):
+    # a power of 0.04 is below the level 0.05, so no size attains it
+    path = scenario_file(DESIGN_SCENARIO.replace("beta = 0.1", "beta = 0.96"))
+    assert main(["design", "--scenario", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "below the attainable floor" in err
+
+
+def test_simulate_refuses_several_recruitment_models(scenario_file, capsys):
+    text = SWEEP_SCENARIO.replace("pattern = uniform", "pattern = mixed\nl = 0.2 0.4")
+    assert main(["simulate", "--scenario", scenario_file(text)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith(": simulate needs a single recruitment model\n")
+
+
+def test_sweep_echoes_explicit_fractions(scenario_file, capsys):
+    text = SWEEP_SCENARIO.replace("k = 2", "k = 3\nrho = 1/3 2/3 1")
+    assert main(["sweep", "--scenario", scenario_file(text)]) == 0
+    assert "# rho = 0.3333333333333333 0.6666666666666666 1.0\n" in capsys.readouterr().out
+
+
+def test_module_entry_point_exits_with_the_command_code():
+    src = Path(gsdelay.__file__).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "gsdelay", "verify-tables"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=False,
+    )
+    assert result.returncode == 3
+    assert result.stdout.splitlines()[-1] == "verified 793/798 reference cells"
 
 
 @pytest.mark.parametrize("beta", ["5e-324", "1e-310"])

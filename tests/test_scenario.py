@@ -318,12 +318,13 @@ class TestOneMessagePerKind:
 
 # Inputs whose rules span keys; each fails at parse on the line it names.
 SPANNING = [
-    ("tau = 0.5", "tau = 1e-300", 4, "tau is too small for the variances and allocation"),
+    ("tau = 0.5", "tau = 1e-300", 4, "tau is too small for the allocation: sizes overflow"),
     ("l = 0.5", "l = 5e-324", 10, "the accrual rate of .* is outside the float range"),
     ("t_max = 24\nl = 0.5", "t_max = 1e308\nl = 1", 10, "the accrual rate of .* is outside"),
     ("pattern = mixed\nt_max = 24\nl = 0.5", "pattern = uniform\nt_max = 1e-310", 9,
      "the accrual rate of .* is outside"),
     ("pattern = mixed", "pattern = uniform", 10, "l only applies to mixed recruitment"),
+    ("k = 2", "k = 2\nrho = 0.5 1\nspacing = equal", 7, "spacing cannot be combined with an explicit rho"),
 ]
 
 
