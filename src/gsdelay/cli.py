@@ -13,7 +13,7 @@ import math
 import sys
 import warnings
 
-from .delay import DelayQuery
+from .delay import DelayQuery, assess_delay
 from .design import build_design, round_for_report
 from .errors import ConfigError, SolveError
 from .reports import (
@@ -29,12 +29,12 @@ __all__ = ["main"]
 
 
 def _single_design(scenario: Scenario):
-    if len(scenario.stages) != 1 or len(scenario.spacings) != 1:
+    if len(scenario.designs) != 1:
         raise ConfigError(
             f"{scenario.source}: this command needs a single design "
             "(one stage count, one spacing)"
         )
-    spec = scenario.design_spec(scenario.stages[0], scenario.spacings[0])
+    (spec,) = scenario.designs.values()
     return build_design(spec)
 
 
@@ -139,6 +139,7 @@ def _cmd_simulate(args) -> int:
         )
         with scenario.rate_errors_on_line():
             result = simulate(config, threads=args.threads)
+            exact = None if query is None else assess_delay(design, query)
         if query is None:
             print("no delay: expected sample size vs analytic ESS")
         else:
@@ -153,12 +154,13 @@ def _cmd_simulate(args) -> int:
             )
         print(
             f"mean sample size = {result.mean_sample_size:.3f} "
-            f"(se {result.se_sample_size:.3f})"
+            f"(se {result.se_sample_size:.3f})   "
+            f"exact {design.ess if exact is None else exact.ess_delay:.3f}"
         )
-        if result.mean_duration is not None:
+        if exact is not None:
             print(
                 f"mean duration    = {result.mean_duration:.3f} "
-                f"(se {result.se_duration:.3f})"
+                f"(se {result.se_duration:.3f})   exact {exact.et:.3f}"
             )
     return 0
 

@@ -164,7 +164,7 @@ class GroupSequentialDesign:
     def num_stages(self) -> int:
         return self.spec.num_stages
 
-    def exit_at(self, mu: float, nodes: int = DEFAULT_NODES) -> ExitProbabilities:
+    def exit_at(self, mu: float) -> ExitProbabilities:
         """Exit probabilities under an arbitrary effect, by the density recursion.
 
         This is independent of the tilted null pass that ``build_design``
@@ -173,7 +173,7 @@ class GroupSequentialDesign:
         problem = SequentialProblem(
             self.info_levels, mu, self.boundaries.efficacy, self.boundaries.futility
         )
-        return exit_probabilities(problem, nodes=nodes)
+        return exit_probabilities(problem)
 
 
 def single_stage_n(alpha: float, beta: float, tau: float, allocation: float = 1.0) -> float:

@@ -163,34 +163,28 @@ def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
     """
     if not scenario.delays:
         raise ScenarioError(f"{scenario.source}: a [delay] section with m values is required")
-    for k in scenario.stages:
-        if k > MAX_TABLE_STAGES:
-            raise ScenarioError(
-                f"{scenario.source}: the sweep table schema supports up to {MAX_TABLE_STAGES} stages"
-            )
+    if max(scenario.stages) > MAX_TABLE_STAGES:
+        raise ScenarioError(
+            f"{scenario.source}: the sweep table schema supports up to {MAX_TABLE_STAGES} stages"
+        )
     models = scenario.recruitment_models()
-    keys = [(k, spacing) for k in scenario.stages for spacing in scenario.spacings]
-
-    def build(key):
-        k, spacing = key
-        return _build_cached(scenario.design_spec(k, spacing))
-
-    if threads > 1 and len(keys) > 1:
+    specs = scenario.designs.values()
+    if threads > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-            designs = dict(zip(keys, pool.map(build, keys)))
+            designs = list(pool.map(_build_cached, specs))
     else:
-        designs = {key: build(key) for key in keys}
+        designs = list(map(_build_cached, specs))
 
     ms = scenario.delays
     m_cells = _column(np.asarray(ms, dtype=float))
     rows = []
     with scenario.rate_errors_on_line():
-        for key in keys:
+        for (_, spacing), design in zip(scenario.designs, designs):
             for model in models:
-                cells = _cells(designs[key], model, ms, scenario.m_interim)
-                cells.update(m=m_cells, spacing=repeat(key[1]))
+                cells = _cells(design, model, ms, scenario.m_interim)
+                cells.update(m=m_cells, spacing=repeat(spacing))
                 rows += zip(*(cells[c] for c in SWEEP_COLUMNS))
-    return ResultTable(columns=SWEEP_COLUMNS, rows=rows, parameters=scenario.parameter_echo())
+    return ResultTable(columns=SWEEP_COLUMNS, rows=rows, parameters=dict(scenario.parameters))
 
 
 def case_study_tau() -> float:

@@ -9,9 +9,12 @@ names. Each reader applies the library rule that owns the value and
 re-raises its message with the line number:
 ``line 2: alpha = 0.75 must lie in (0, 0.5)``. A missing required key, an
 empty list and a name outside a choice each have one message. The rules that
-span keys are checked last: the sizes of every design, on the line of tau,
-and the accrual rate of one participant under each recruitment model, on the
-line of l (mixed) or t_max.
+span keys are checked last, as each library object is built once: the sizes
+of the DesignSpec at every grid point (K x spacing), on the line of tau, and
+the accrual rate of one participant under every RecruitmentModel, on the
+line of l (mixed) or t_max. A key the file leaves out is not passed on, so
+its default is the library's. A k or spacing listed twice is refused on its
+line; with an explicit rho the one spacing label is "rho".
 
 Example::
 
@@ -96,55 +99,46 @@ def spacing_for(num_stages: int, label: str) -> tuple[float, ...]:
 
 @dataclass
 class Scenario:
-    """A parsed, validated scenario."""
+    """A parsed, validated scenario: the library objects its grid is made of.
 
-    alpha: float
-    beta: float
-    tau: float
-    mu: float | None
+    ``designs`` maps each grid point (K, spacing label) to its DesignSpec, K
+    outer and spacing inner; with an explicit rho the one label is "rho".
+    ``models`` holds one RecruitmentModel per ramp fraction (none without a
+    [recruitment] section). ``parameters`` is the ``# key = value`` echo a
+    sweep writes above its table.
+    """
+
     stages: tuple[int, ...]
     spacings: tuple[str, ...]
-    rho: tuple[float, ...] | None
-    family: str
-    shape: float | None
-    gamma: float | None
-    futility: FutilityStyle
-    allocation: float
-    pattern: str | None
-    t_max: float | None
-    ramp_fractions: tuple[float, ...]
+    designs: dict[tuple[int, str], DesignSpec]
+    models: tuple[RecruitmentModel, ...]
     delays: tuple[float, ...]
     m_interim: float
+    parameters: dict[str, str]
     out_format: str | None
     out_path: str | None
     source: str = "<scenario>"
     # the line the accrual-rate rule reports on: l (mixed) or t_max
     rate_line: int | None = field(default=None, compare=False, repr=False)
 
+    @property
+    def t_max(self) -> float | None:
+        """The recruitment period; None without a [recruitment] section."""
+        return self.models[0].t_max if self.models else None
+
     def design_spec(self, num_stages: int, spacing: str) -> DesignSpec:
-        if self.family == "wang-tsiatis":
-            family = WangTsiatis(self.shape if self.shape is not None else 0.25)
-        else:
-            family = HwangShihDeCani(self.gamma)
-        rho = self.rho if self.rho is not None else spacing_for(num_stages, spacing)
-        return DesignSpec(
-            alpha=self.alpha,
-            beta=self.beta,
-            tau=self.tau,
-            num_stages=num_stages,
-            family=family,
-            futility=self.futility,
-            mu_eval=self.mu,
-            info_fractions=rho,
-            allocation=self.allocation,
-        )
+        try:
+            return self.designs[num_stages, spacing]
+        except KeyError:
+            raise ScenarioError(
+                f"{self.source}: k = {num_stages}, spacing = {spacing} is outside the grid "
+                f"k = {' '.join(map(str, self.stages))} x spacing = {' '.join(self.spacings)}"
+            ) from None
 
     def recruitment_models(self) -> tuple[RecruitmentModel, ...]:
-        if self.pattern is None or self.t_max is None:
+        if not self.models:
             raise ScenarioError(f"{self.source}: a [recruitment] section is required")
-        if self.pattern == "uniform":
-            return (RecruitmentModel.uniform(self.t_max),)
-        return tuple(RecruitmentModel.mixed(self.t_max, l) for l in self.ramp_fractions)
+        return self.models
 
     @contextmanager
     def rate_errors_on_line(self):
@@ -157,34 +151,6 @@ class Scenario:
             yield
         except ConfigError as exc:
             raise ScenarioError(str(exc), self.rate_line) from None
-
-    def parameter_echo(self) -> dict[str, str]:
-        """Flat, deterministic parameter listing for report provenance."""
-        echo = {
-            "alpha": repr(self.alpha),
-            "beta": repr(self.beta),
-            "tau": repr(self.tau),
-            "mu": repr(self.mu if self.mu is not None else self.tau),
-            "stages": " ".join(map(str, self.stages)),
-            "spacing": " ".join(self.spacings),
-            "family": self.family,
-            "futility": self.futility.value,
-            "allocation": repr(self.allocation),
-        }
-        if self.rho is not None:
-            echo["rho"] = " ".join(repr(r) for r in self.rho)
-        if self.shape is not None:
-            echo["delta"] = repr(self.shape)
-        if self.gamma is not None:
-            echo["gamma"] = repr(self.gamma)
-        if self.pattern is not None:
-            echo["pattern"] = self.pattern
-            echo["t_max"] = repr(self.t_max)
-        if self.ramp_fractions:
-            echo["l"] = " ".join(repr(l) for l in self.ramp_fractions)
-        echo["m"] = " ".join(repr(m) for m in self.delays)
-        echo["m_interim"] = repr(self.m_interim)
-        return echo
 
 
 class _Entry(NamedTuple):
@@ -253,10 +219,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"{source}: missing required key {key!r} in [{section}]")
         return entry
 
-    def checked(entry: _Entry, rule, *args):
+    def checked(entry: _Entry, rule, *args, **kwargs):
         """Apply a library rule, re-raising its ConfigError with the entry's line."""
         try:
-            return rule(*args)
+            return rule(*args, **kwargs)
         except ConfigError as exc:
             raise ScenarioError(str(exc), entry.line) from None
 
@@ -279,6 +245,13 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"{key}: at least one {what} is required", entry.line)
         return values
 
+    def grid_axis(key: str, values: tuple) -> tuple:
+        """The values of k or spacing, distinct: the grid holds one design per (k, spacing)."""
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ScenarioError(f"{key}: {value} is listed more than once", get("design", key).line)
+        return values
+
     def choice(section: str, key: str, options: tuple[str, ...], required=False) -> str | None:
         """The lower-cased value, one of options; None when the key is absent."""
         entry = get(section, key, required)
@@ -294,7 +267,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     beta = number("design", "beta", _check_beta, required=True)
     tau = number("design", "tau", _check_positive, "tau", required=True)
     mu = number("design", "mu", _check_finite, "mu")
-    stages = listed("design", "k", "stage count", _check_stages, required=True, read=_integer)
+    stages = grid_axis("k", listed("design", "k", "stage count", _check_stages, required=True, read=_integer))
 
     rho = None
     if (e := get("design", "rho")) is not None:
@@ -314,18 +287,24 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     if rho is not None and (e := get("design", "spacing")) is not None:
         raise ScenarioError("spacing cannot be combined with an explicit rho", e.line)
     spacings = listed("design", "spacing", "label", spacing_rule, read=lambda t, *_: t.lower())
+    spacings = ("rho",) if rho is not None else grid_axis("spacing", spacings) or ("equal",)
 
     family = choice("design", "family", ("wang-tsiatis", "hsd"), required=True)
     for key, owner in (("delta", "wang-tsiatis"), ("gamma", "hsd")):
         if (e := get("design", key)) is not None and family != owner:
             raise ScenarioError(f"{key} only applies to the {owner} family", e.line)
-    shape = number("design", "delta", lambda v: WangTsiatis(v).shape)
-    gamma = number("design", "gamma", lambda v: HwangShihDeCani(v).gamma, required=family == "hsd")
+    if family == "hsd":
+        boundary = number("design", "gamma", HwangShihDeCani, required=True)
+    else:
+        boundary = number("design", "delta", WangTsiatis)
     futility = choice("design", "futility", tuple(s.value for s in FutilityStyle))
-    allocation = number("design", "allocation", _check_positive, "allocation", default=1.0)
+    allocation = number("design", "allocation", _check_positive, "allocation")
+    # only the keys the file sets: DesignSpec holds the defaults
+    given = {"mu_eval": mu, "family": boundary, "allocation": allocation,
+             "futility": futility and FutilityStyle(futility)}
+    given = {name: value for name, value in given.items() if value is not None}
 
-    pattern = t_max = None
-    ramp_fractions: tuple[float, ...] = ()
+    models: tuple[RecruitmentModel, ...] = ()
     if "recruitment" in sections:
         pattern = choice("recruitment", "pattern", ("uniform", "mixed", "linear"), required=True)
         t_max = number("recruitment", "t_max", _check_positive, "t_max", required=True)
@@ -334,45 +313,66 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             raise ScenarioError("l is implied by the linear pattern", e.line)
         if e is not None and pattern == "uniform":
             raise ScenarioError("l only applies to mixed recruitment", e.line)
-        ramp_fractions = listed("recruitment", "l", "value", _check_ramp_fraction)
-        if pattern == "linear":
-            pattern, ramp_fractions = "mixed", (1.0,)
+        if pattern == "uniform":
+            models = (RecruitmentModel.uniform(t_max),)
+        else:
+            # linear is one full ramp
+            ramps = listed("recruitment", "l", "value", _check_ramp_fraction) or (1.0,)
+            models = tuple(RecruitmentModel.mixed(t_max, l) for l in ramps)
 
+    delays = listed("delay", "m", "delay length", _check_delay, "m")
+    m_interim = number("delay", "m_interim", _check_delay, "m_interim", default=0.0)
+    out_format = choice("output", "format", ("csv", "json"))
     out_path = get("output", "path")
+
+    # the rules that span keys: the sizes each design implies, on the line of
+    # tau, and the accrual rate of one participant, on the line of l or t_max
+    designs = {
+        (k, label): checked(
+            get("design", "tau"), DesignSpec, alpha, beta, tau, k,
+            info_fractions=rho or spacing_for(k, label), **given,
+        )
+        for k in stages
+        for label in spacings
+    }
     rate_entry = get("recruitment", "l") or get("recruitment", "t_max")
-    scenario = Scenario(
-        alpha=alpha,
-        beta=beta,
-        tau=tau,
-        mu=mu,
-        stages=stages,
-        spacings=spacings or ("equal",),
-        rho=rho,
+    for model in models:
+        checked(rate_entry, _check_unit_rate, model)
+
+    spec = next(iter(designs.values()))
+    parameters = {name: repr(getattr(spec, name)) for name in ("alpha", "beta", "tau", "allocation")}
+    parameters.update(
+        mu=repr(spec.evaluation_effect),
+        futility=spec.futility.value,
         family=family,
-        shape=shape,
-        gamma=gamma,
-        futility=FutilityStyle(futility or FutilityStyle.BINDING_ZERO),
-        allocation=allocation,
-        pattern=pattern,
-        t_max=t_max,
-        ramp_fractions=ramp_fractions,
-        delays=listed("delay", "m", "delay length", _check_delay, "m"),
-        m_interim=number("delay", "m_interim", _check_delay, "m_interim", default=0.0),
-        out_format=choice("output", "format", ("csv", "json")),
+        stages=" ".join(map(str, stages)),
+        spacing=" ".join(spacings),
+        m=" ".join(map(repr, delays)),
+        m_interim=repr(m_interim),
+    )
+    if rho is not None:
+        parameters["rho"] = " ".join(map(repr, rho))
+    if isinstance(boundary, WangTsiatis):
+        parameters["delta"] = repr(boundary.shape)
+    elif boundary is not None:
+        parameters["gamma"] = repr(boundary.gamma)
+    if models:
+        parameters.update(pattern=models[0].pattern, t_max=repr(models[0].t_max))
+    if models and models[0].pattern == "mixed":
+        parameters["l"] = " ".join(repr(model.ramp_fraction) for model in models)
+    return Scenario(
+        stages=stages,
+        spacings=spacings,
+        designs=designs,
+        models=models,
+        delays=delays,
+        m_interim=m_interim,
+        parameters=parameters,
+        out_format=out_format,
         out_path=out_path.value if out_path is not None else None,
         source=source,
         rate_line=rate_entry.line if rate_entry is not None else None,
     )
-
-    # the rules that span keys: the sizes each design implies, on the line of
-    # tau, and the accrual rate of one participant, on the line of l or t_max
-    for k in stages:
-        for spacing in scenario.spacings:
-            checked(get("design", "tau"), scenario.design_spec, k, spacing)
-    if pattern is not None:
-        for model in scenario.recruitment_models():
-            checked(rate_entry, _check_unit_rate, model)
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -190,6 +191,21 @@ class TestSimulateCommand:
         assert "mean sample size" in out
         assert "mean duration" in out
 
+    def test_prints_the_exact_value_beside_each_mean(self, scenario_file, capsys):
+        design = gsdelay.build_design(gsdelay.DesignSpec(alpha=0.05, beta=0.1, tau=0.5, num_stages=2))
+        query = gsdelay.DelayQuery(m=3.0, model=gsdelay.RecruitmentModel.uniform(24.0))
+        exact = gsdelay.assess_delay(design, query)
+        mean = r"= \d+\.\d{3} \(se \d+\.\d{3}\)   exact"
+        args = ["--replicates", "20000", "--seed", "7"]
+        assert main(["simulate", "--scenario", scenario_file(DESIGN_SCENARIO), *args]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"^mean sample size {mean} {design.ess:.3f}$", out, re.M)
+        path = scenario_file(SWEEP_SCENARIO.replace("m = 3 6", "m = 3"))
+        assert main(["simulate", "--scenario", path, *args]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"^mean sample size {mean} {exact.ess_delay:.3f}$", out, re.M)
+        assert re.search(rf"^mean duration    {mean} {exact.et:.3f}$", out, re.M)
+
     def test_deterministic_output(self, scenario_file, capsys):
         path = scenario_file(DESIGN_SCENARIO)
         assert main(["simulate", "--scenario", path, "--replicates", "20000", "--seed", "7"]) == 0
@@ -256,7 +272,11 @@ def test_simulate_refuses_several_recruitment_models(scenario_file, capsys):
 def test_sweep_echoes_explicit_fractions(scenario_file, capsys):
     text = SWEEP_SCENARIO.replace("k = 2", "k = 3\nrho = 1/3 2/3 1")
     assert main(["sweep", "--scenario", scenario_file(text)]) == 0
-    assert "# rho = 0.3333333333333333 0.6666666666666666 1.0\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "# rho = 0.3333333333333333 0.6666666666666666 1.0\n" in out
+    # each row and the spacing echo point at the echoed fractions
+    assert "# spacing = rho\n" in out
+    assert [line.split(",")[3] for line in out.splitlines()[-2:]] == ["rho", "rho"]
 
 
 def test_module_entry_point_exits_with_the_command_code():

@@ -44,6 +44,35 @@ m = 3 6
 """
 
 
+# Scenarios that set every optional key, and one that sets none, with the
+# full parameter echo a sweep writes for each.
+ECHOES = [
+    (
+        "[design]\nalpha = 0.025\nbeta = 0.2\ntau = 0.4\nmu = 0.3\nk = 3 4\nspacing = late equal\n"
+        "family = wang-tsiatis\ndelta = 0.1\nfutility = symmetric\nallocation = 2\n"
+        "[recruitment]\npattern = linear\nt_max = 18\n[delay]\nm = 2 4\nm_interim = 0.5\n",
+        "allocation = 2.0|alpha = 0.025|beta = 0.2|delta = 0.1|family = wang-tsiatis|"
+        "futility = symmetric|l = 1.0|m = 2.0 4.0|m_interim = 0.5|mu = 0.3|pattern = mixed|"
+        "spacing = late equal|stages = 3 4|t_max = 18.0|tau = 0.4",
+    ),
+    (
+        "[design]\nalpha = 0.025\nbeta = 0.2\ntau = 0.4\nmu = 0.3\nk = 3\nspacing = late\n"
+        "family = hsd\ngamma = -2\nfutility = none\nallocation = 0.5\n"
+        "[recruitment]\npattern = mixed\nt_max = 18\nl = 0.25 1/2\n[delay]\nm = 2 4\nm_interim = 1\n",
+        "allocation = 0.5|alpha = 0.025|beta = 0.2|family = hsd|futility = none|gamma = -2.0|"
+        "l = 0.25 0.5|m = 2.0 4.0|m_interim = 1.0|mu = 0.3|pattern = mixed|spacing = late|"
+        "stages = 3|t_max = 18.0|tau = 0.4",
+    ),
+    (
+        "[design]\nalpha = 0.05\nbeta = 0.1\ntau = 0.5\nk = 2\nfamily = wang-tsiatis\n"
+        "[recruitment]\npattern = uniform\nt_max = 24\n[delay]\nm = 3\n",
+        "allocation = 1.0|alpha = 0.05|beta = 0.1|family = wang-tsiatis|futility = binding-zero|"
+        "m = 3.0|m_interim = 0.0|mu = 0.5|pattern = uniform|spacing = equal|stages = 2|"
+        "t_max = 24.0|tau = 0.5",
+    ),
+]
+
+
 @pytest.fixture(scope="module")
 def small_table():
     return run_sweep(parse_scenario(SMALL))
@@ -93,6 +122,11 @@ class TestSweep:
     def test_parameter_echo_present(self, small_table):
         assert small_table.parameters["alpha"] == "0.05"
         assert "m" in small_table.parameters
+
+    @pytest.mark.parametrize("text, echo", ECHOES)
+    def test_full_parameter_echo(self, text, echo):
+        lines = run_sweep(parse_scenario(text)).to_csv().splitlines()
+        assert [line for line in lines if line.startswith("#")] == [f"# {kv}" for kv in echo.split("|")]
 
     def test_interim_overhead_shifts_expected_time(self):
         text = SMALL.replace("k = 2 3", "k = 2").replace("m = 3 6", "m = 6")

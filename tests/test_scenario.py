@@ -1,8 +1,10 @@
 import pytest
 
-from gsdelay.boundaries import FutilityStyle
+from gsdelay.boundaries import FutilityStyle, WangTsiatis
 from gsdelay.cli import main
+from gsdelay.design import DesignSpec
 from gsdelay.errors import ScenarioError
+from gsdelay.recruitment import RecruitmentModel
 from gsdelay.scenario import parse_scenario, spacing_for
 
 FULL = """\
@@ -30,12 +32,19 @@ format = csv
 class TestParsing:
     def test_full_document(self):
         sc = parse_scenario(FULL)
-        assert sc.alpha == 0.05 and sc.beta == 0.1 and sc.tau == 0.5
+        spec = sc.design_spec(2, "equal")
+        assert spec.alpha == 0.05 and spec.beta == 0.1 and spec.tau == 0.5
         assert sc.stages == (2, 3, 4, 5)
         assert sc.spacings == ("equal",)
-        assert sc.family == "wang-tsiatis" and sc.shape == 0.25
-        assert sc.futility is FutilityStyle.BINDING_ZERO
-        assert sc.pattern == "uniform" and sc.t_max == 24.0
+        assert list(sc.designs) == [(k, "equal") for k in (2, 3, 4, 5)]
+        assert sc.parameters["family"] == "wang-tsiatis" and spec.family.shape == 0.25
+        assert spec.futility is FutilityStyle.BINDING_ZERO
+        assert sc.models[0].pattern == "uniform" and sc.t_max == 24.0
+        # equal to a spec written out in full, as the design cache and the benchmark key on it
+        assert spec == DesignSpec(
+            alpha=0.05, beta=0.1, tau=0.5, num_stages=2, family=WangTsiatis(0.25),
+            futility=FutilityStyle.BINDING_ZERO, info_fractions=(0.5, 1.0),
+        )
         assert sc.delays == (3.0, 6.0, 9.0, 12.0, 18.0, 24.0)
         assert sc.out_format == "csv"
 
@@ -47,12 +56,13 @@ class TestParsing:
             "rho = 1/3, 2/3, 1   # equally spaced\n"
             "family = wt\n"
         )
-        assert sc.rho == pytest.approx((1 / 3, 2 / 3, 1.0))
+        assert sc.design_spec(3, "rho").info_fractions == pytest.approx((1 / 3, 2 / 3, 1.0))
 
     def test_mu_defaults_to_tau_downstream(self):
         sc = parse_scenario("[design]\nalpha=0.05\nbeta=0.1\ntau=0.5\nk=2\nfamily=wt\n")
-        assert sc.mu is None
+        assert sc.design_spec(2, "equal").mu_eval is None
         assert sc.design_spec(2, "equal").evaluation_effect == 0.5
+        assert sc.parameters["mu"] == "0.5"
 
     def test_hsd_family(self):
         sc = parse_scenario(
@@ -69,10 +79,21 @@ class TestParsing:
         (model,) = sc.recruitment_models()
         assert model.pattern == "mixed" and model.ramp_fraction == 1.0
 
+    def test_a_grid_point_outside_the_grid(self):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(FULL, source="s.ini").design_spec(3, "late")
+        assert str(info.value) == "s.ini: k = 3, spacing = late is outside the grid k = 2 3 4 5 x spacing = equal"
+
+    def test_no_recruitment_section_means_no_models(self):
+        sc = parse_scenario(FULL.split("[recruitment]")[0], source="s.ini")
+        assert sc.models == () and sc.t_max is None
+        with pytest.raises(ScenarioError, match=r"^s\.ini: a \[recruitment\] section is required$"):
+            sc.recruitment_models()
+
     def test_mixed_ramp_list(self):
         text = FULL.replace("pattern = uniform", "pattern = mixed\nl = 0.2 0.4 0.6 0.8")
         sc = parse_scenario(text)
-        assert sc.ramp_fractions == (0.2, 0.4, 0.6, 0.8)
+        assert tuple(model.ramp_fraction for model in sc.models) == (0.2, 0.4, 0.6, 0.8)
         assert len(sc.recruitment_models()) == 4
 
 
@@ -298,7 +319,24 @@ class TestOneMessagePerKind:
 
     def test_choices_ignore_case(self):
         sc = parse_scenario(SINGLE.replace("wang-tsiatis", "WT").replace("mixed", "Mixed"))
-        assert (sc.family, sc.pattern) == ("wang-tsiatis", "mixed")
+        assert (sc.parameters["family"], sc.models[0].pattern) == ("wang-tsiatis", "mixed")
+
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("k = 2", "k = 2 2", 5, "k: 2 is listed more than once"),
+            ("k = 2", "k = 3\nspacing = late late", 6, "spacing: late is listed more than once"),
+        ],
+    )
+    def test_a_grid_entry_listed_twice(self, tmp_path, capsys, old, new, line, message):
+        # the grid holds one design per (k, spacing); a repeat would repeat its rows
+        text = SINGLE.replace(old, new)
+        with pytest.raises(ScenarioError, match=f"^line {line}: {message}$"):
+            parse_scenario(text)
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        assert main(["sweep", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
     def test_uniform_rejects_a_ramp_fraction(self):
         with pytest.raises(ScenarioError, match="^line 10: l only applies to mixed recruitment$"):
