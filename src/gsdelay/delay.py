@@ -7,13 +7,16 @@ at every possible stopping stage; comparing the resulting efficiency gain
 with the undelayed one gives the percentage of the gain lost to delay, which
 can exceed 100 when the delayed design is worse than a single-stage trial.
 
-Everything here is computed by ``_delay_columns`` for a whole grid of delays
-of one (design, recruitment model) pair in one numpy pass: the accrual
-curve, the stage recruit times and the stop probabilities depend only on the
-pair, and each metric is one array operation over the delays. The public
-functions are its one-delay views. Each row is bit for bit what the same
-formulas give evaluated one delay at a time: the expected sample size is
-``np.vecdot``, which sums a row in the same order as ``np.dot`` does.
+Everything here is computed by ``_delay_columns`` for one design under a
+tuple of recruitment models and a whole grid of delays in one numpy pass:
+the stop probabilities depend only on the design, the accrual curves and
+stage recruit times on the (design, model) pair, and each metric is one
+array operation over a (model, delay) block. A sweep makes one such pass
+per design; the public functions are its one-model, one-delay views. Each
+entry is bit for bit what the same formulas give evaluated one model and
+one delay at a time: the expected sample size is ``np.vecdot``, which sums
+each row in the same order as ``np.dot`` does, and the expected time sums
+its stages in order.
 """
 
 from __future__ import annotations
@@ -72,18 +75,20 @@ class DelayAssessment:
 
 @dataclass(frozen=True)
 class _DelayColumns:
-    """Delay-adjusted metrics of one design, one entry per delay.
+    """Delay-adjusted metrics of one design under P recruitment models and M delays.
 
-    pipeline is (M, K); el is None when the design gains nothing (eg <= 0).
+    pipeline is (P, M, K) and recruit_times (P, K); t_single has one entry
+    per model and the other metrics are (P, M). el is None when the design
+    gains nothing (eg <= 0).
     """
 
     pipeline: np.ndarray
-    recruit_times: tuple[float, ...]
+    recruit_times: np.ndarray
     ess_delay: np.ndarray
     eg_delay: np.ndarray
     el: np.ndarray | None
     et: np.ndarray
-    t_single: float
+    t_single: np.ndarray
     et_single: np.ndarray
 
 
@@ -104,30 +109,31 @@ def _gain_and_loss(design: GroupSequentialDesign, essd):
 
 
 def _delay_columns(
-    design: GroupSequentialDesign, model: RecruitmentModel, ms, m_interim: float
+    design: GroupSequentialDesign, models: tuple[RecruitmentModel, ...], ms, m_interim: float
 ) -> _DelayColumns:
-    """Delay assessment of one design under one recruitment model, for every delay in ms.
+    """Delay assessment of one design under each recruitment model, for every delay in ms.
 
     The expected completion time is m + m_interim + sum_k t_k * S_k, and the
     single-stage trial recruits at the same rate and completes at
     t_single + m.
     """
     _check_delay("m_interim", m_interim)
-    pipeline, times = _pipeline(design, model, ms)
+    pipeline, times = _pipeline(design, models, ms)
     essd = _ess_delay(design, pipeline)
     eg_delay, el = _gain_and_loss(design, essd)
     m = np.asarray(ms, dtype=float)
-    stop = design.exit.stop_per_stage
-    t_single = design.n_single * model.t_max / design.max_n
+    stop = np.asarray(design.exit.stop_per_stage)
+    t_single = design.n_single * np.array([model.t_max for model in models]) / design.max_n
     return _DelayColumns(
         pipeline=pipeline,
         recruit_times=times,
         ess_delay=essd,
         eg_delay=eg_delay,
         el=el,
-        et=m + m_interim + sum(t * s for t, s in zip(times, stop)),
+        # cumsum adds the stages one at a time, in order
+        et=m + m_interim + np.cumsum(times * stop, axis=1)[:, -1:],
         t_single=t_single,
-        et_single=t_single + m,
+        et_single=t_single[:, None] + m,
     )
 
 
@@ -156,20 +162,22 @@ def expected_time(
     m + m_interim + sum_k t_k * S_k, the single-stage recruitment time at the
     same rate, and the single-stage completion time t_single + m.
     """
-    cols = _delay_columns(design, query.model, (query.m,), query.m_interim)
-    return float(cols.et[0]), cols.t_single, float(cols.et_single[0])
+    cols = _delay_columns(design, (query.model,), (query.m,), query.m_interim)
+    return float(cols.et[0, 0]), float(cols.t_single[0]), float(cols.et_single[0, 0])
 
 
 def assess_delay(design: GroupSequentialDesign, query: DelayQuery) -> DelayAssessment:
     """Full delay assessment of a built design."""
-    cols = _delay_columns(design, query.model, (query.m,), query.m_interim)
+    cols = _delay_columns(design, (query.model,), (query.m,), query.m_interim)
     return DelayAssessment(
-        profile=PipelineProfile(tuple(cols.pipeline[0].tolist()), cols.recruit_times),
-        ess_delay=float(cols.ess_delay[0]),
+        profile=PipelineProfile(
+            tuple(cols.pipeline[0, 0].tolist()), tuple(cols.recruit_times[0].tolist())
+        ),
+        ess_delay=float(cols.ess_delay[0, 0]),
         eg=design.eg,
-        eg_delay=float(cols.eg_delay[0]),
-        el=None if cols.el is None else float(cols.el[0]),
-        et=float(cols.et[0]),
-        t_single=cols.t_single,
-        et_single=float(cols.et_single[0]),
+        eg_delay=float(cols.eg_delay[0, 0]),
+        el=None if cols.el is None else float(cols.el[0, 0]),
+        et=float(cols.et[0, 0]),
+        t_single=float(cols.t_single[0]),
+        et_single=float(cols.et_single[0, 0]),
     )

@@ -14,9 +14,10 @@ closed form at real-valued times, so no quantity is forced to an integer.
 The recruitment time of the first n participants is the inverse of N, and
 the pipeline participants at an interim are the expected recruits
 N(t_k + m) - N(t_k) during the outcome-delay window of length m that follows
-it, capped so the trial never exceeds n_max. N is evaluated elementwise, so
-``_pipeline`` gives the counts for a whole grid of delays in one array pass;
-``pipeline_counts`` is its one-delay view.
+it, capped so the trial never exceeds n_max. N is one elementwise formula of
+(delta, ramp_end, rate), so ``_pipeline`` gives the counts of a design under
+several recruitment models and a whole grid of delays in one array pass;
+``pipeline_counts`` is its one-model, one-delay view.
 """
 
 from __future__ import annotations
@@ -98,10 +99,25 @@ class PipelineProfile:
     recruit_times: tuple[float, ...]
 
 
+def _ramp_sum(delta, t):
+    """delta * t(t+1)/2: the ramp's accrual up to time t, elementwise over arrays."""
+    return 0.5 * delta * t * (t + 1.0)
+
+
+def _accrual(t, delta, ramp_end, rate):
+    """N(t) of the curve (delta, ramp_end, rate), elementwise over broadcast arrays."""
+    # the ramp branch sees t clipped to the ramp, where np.where keeps it;
+    # a window past the float range reaches inf, which the pipeline cap then replaces
+    ramp_t = np.minimum(t, ramp_end)
+    with np.errstate(over="ignore"):
+        flat = _ramp_sum(delta, ramp_end) + rate * (t - ramp_end)
+    return np.where(t <= ramp_end, _ramp_sum(delta, ramp_t), flat)
+
+
 def _capacity(t_max: float, ramp_fraction: float) -> float:
     """Participants the mixed model recruits over its period per unit of the rate slope delta."""
     ramp_end = ramp_fraction * t_max
-    return 0.5 * ramp_end * (ramp_end + 1.0) + ramp_end * (1.0 - ramp_fraction) * t_max
+    return _ramp_sum(1.0, ramp_end) + ramp_end * (1.0 - ramp_fraction) * t_max
 
 
 def _check_unit_rate(model: RecruitmentModel) -> RecruitmentModel:
@@ -152,17 +168,11 @@ class AccrualCurve:
 
     @property
     def ramp_capacity(self) -> float:
-        return 0.5 * self.delta * self.ramp_end * (self.ramp_end + 1.0)
+        return _ramp_sum(self.delta, self.ramp_end)
 
     def __call__(self, t):
         """N(t), elementwise over an array of times (a numpy float for a scalar)."""
-        t = np.asarray(t, dtype=float)
-        # the ramp branch sees t clipped to the ramp, where np.where keeps it;
-        # a window past the float range reaches inf, which the cap then replaces
-        ramp_t = np.minimum(t, self.ramp_end)
-        with np.errstate(over="ignore"):
-            flat = self.ramp_capacity + self.rate * (t - self.ramp_end)
-        return np.where(t <= self.ramp_end, 0.5 * self.delta * ramp_t * (ramp_t + 1.0), flat)[()]
+        return _accrual(np.asarray(t, dtype=float), self.delta, self.ramp_end, self.rate)[()]
 
     def time(self, n: float) -> float:
         """Inverse of N: expected months needed to recruit the first n participants."""
@@ -192,22 +202,27 @@ def recruit_time(n: float, n_max: float, model: RecruitmentModel) -> float:
     return accrual_curve(n_max, model).time(n)
 
 
-def _pipeline(design, model: RecruitmentModel, ms) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Expected pipeline participants for each delay in ms, and the stage recruit times.
+def _pipeline(design, models, ms) -> tuple[np.ndarray, np.ndarray]:
+    """Expected pipeline participants per model and delay, and the stage recruit times.
 
-    Returns an (len(ms), K) array whose row i holds
-    min(N(t_k + m_i) - N(t_k), n_max - n_k) per stage k, with the final stage
-    0 by construction, and the recruit times t_k of the stage sizes.
+    Returns a (P, M, K) array for P models and M delays, whose entry [p, i, k]
+    is min(N_p(t_pk + m_i) - N_p(t_pk), n_max - n_k), with the final stage 0
+    by construction, and the (P, K) recruit times t_pk of the stage sizes.
     """
-    for m in ms:
-        _check_delay("m", m)
+    m = np.asarray(ms, dtype=float)
+    valid = (m >= 0.0) & (m < math.inf)
+    if not valid.all():
+        _check_delay("m", ms[int(valid.argmin())])  # the first bad value, as given
     n_max = design.max_n
-    curve = accrual_curve(n_max, model)
-    times = tuple(curve.time(n) for n in design.stage_n)
-    t = np.asarray(times)
-    window = curve(t + np.asarray(ms, dtype=float)[:, None]) - curve(t)
-    pipeline = np.minimum(window, n_max - np.asarray(design.stage_n))
-    pipeline[:, -1] = 0.0
+    curves = [accrual_curve(n_max, model) for model in models]
+    times = np.array([[curve.time(n) for n in design.stage_n] for curve in curves])
+    # one (P, 1, 1) column per curve parameter
+    delta, ramp_end, rate = np.array([(c.delta, c.ramp_end, c.rate) for c in curves]).T[:, :, None, None]
+    # N at the stage times (row 0) and at the ends of their delay windows, in one pass
+    t = times[:, None, :]
+    accrued = _accrual(np.concatenate((t, t + m[:, None]), axis=1), delta, ramp_end, rate)
+    pipeline = np.minimum(accrued[:, 1:] - accrued[:, :1], n_max - np.asarray(design.stage_n))
+    pipeline[..., -1] = 0.0
     return pipeline, times
 
 
@@ -219,5 +234,5 @@ def pipeline_counts(
     Counts are capped at n_max - n_k (recruitment stops at n_max) and the
     final analysis has none by construction.
     """
-    pipeline, times = _pipeline(design, model, (m,))
-    return PipelineProfile(tuple(pipeline[0].tolist()), times)
+    pipeline, times = _pipeline(design, (model,), (m,))
+    return PipelineProfile(tuple(pipeline[0, 0].tolist()), tuple(times[0].tolist()))

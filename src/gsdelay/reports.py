@@ -2,10 +2,12 @@
 
 The sweep table is the canonical interchange format: a fixed 17-column schema
 with sample sizes, pipeline counts and efficiency metrics formatted to two
-decimals (gain fractions to four). A sweep assesses all delays of one
-(design, recruitment model) pair in one call of ``delay._delay_columns`` and
-formats each column of that block at once; the cells are the same strings as
-per-row evaluation gives. CSV files carry the full parameter echo in
+decimals (gain fractions to four). A sweep assesses each design once, under
+all of its recruitment models and delays, in one call of
+``delay._delay_columns``, and formats each column of that block with one
+%-format call; the case study builds its rows the same way, one model and
+one delay per design. The cells are the same strings as per-row evaluation
+gives. CSV files carry the full parameter echo in
 ``# key = value`` comment lines so any output can be traced back to its
 scenario; the JSON format mirrors the CSV one object per row. Output is fully
 deterministic for a given scenario.
@@ -18,7 +20,6 @@ them, recomputes every cell and compares at per-table tolerances.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -80,34 +81,41 @@ _DESIGN_CACHE_SIZE = 64
 _build_cached = lru_cache(maxsize=_DESIGN_CACHE_SIZE)(build_design)
 
 
-def _column(values) -> list[str]:
-    """A column of floats (a numpy array) formatted to two decimals."""
-    return [f"{v:.2f}" for v in values.tolist()]
+def _column(values, fmt: str = "%.2f") -> list[str]:
+    """A numpy array of floats as text to two decimals (or by fmt), one cell per entry in C order.
 
-
-def _cells(design, model, ms, m_interim) -> dict:
-    """The delay columns of one (design, recruitment model) pair, keyed by column name.
-
-    A column holds one cell per delay in ms, or repeats one cell when it does
-    not depend on the delay. Pipeline columns past stage K and the
-    efficiency loss of a design that gains nothing are blank.
+    One %-format call makes the whole column; it formats each value with the
+    same routine as ``f"{v:.2f}"``, so the cells are the same strings.
     """
-    cols = _delay_columns(design, model, ms, m_interim)
+    values = values.ravel().tolist()
+    return (f"{fmt}\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _block(design, models, ms, m_interim) -> dict:
+    """The delay columns of one design under each recruitment model, keyed by column name.
+
+    A column holds one cell per (model, delay) pair, model outer and delay
+    inner, or repeats one cell when it depends on neither. Pipeline columns
+    past stage K and the efficiency loss of a design that gains nothing are
+    blank.
+    """
+    cols = _delay_columns(design, models, ms, m_interim)
     num_stages = design.num_stages
+    ramps = ["" if model.pattern == "uniform" else f"{model.ramp_fraction:.2f}" for model in models]
     cells = {
         "K": repeat(str(num_stages)),
-        "l": repeat("" if model.pattern == "uniform" else f"{model.ramp_fraction:.2f}"),
+        "l": [cell for cell in ramps for _ in ms],
         "n_max": repeat(f"{design.max_n:.2f}"),
         "ess": repeat(f"{design.ess:.2f}"),
         "ess_delay": _column(cols.ess_delay),
         "eg": repeat(f"{design.eg:.4f}"),
-        "eg_delay": [f"{v:.4f}" for v in cols.eg_delay.tolist()],
+        "eg_delay": _column(cols.eg_delay, "%.4f"),
         "el": repeat("") if cols.el is None else _column(cols.el),
         "et": _column(cols.et),
         "et_single": _column(cols.et_single),
     }
     for k in range(MAX_TABLE_STAGES):
-        cells[f"pipeline_{k + 1}"] = _column(cols.pipeline[:, k]) if k < num_stages else repeat("")
+        cells[f"pipeline_{k + 1}"] = _column(cols.pipeline[..., k]) if k < num_stages else repeat("")
     return cells
 
 
@@ -120,13 +128,10 @@ class ResultTable:
     parameters: dict[str, str]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        for key in sorted(self.parameters):
-            buf.write(f"# {key} = {self.parameters[key]}\n")
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        lines = [f"# {key} = {self.parameters[key]}" for key in sorted(self.parameters)]
+        lines.append(",".join(self.columns))
+        lines += map(",".join, self.rows)
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         def cell(value: str):
@@ -176,14 +181,13 @@ def run_sweep(scenario: Scenario, threads: int = 1) -> ResultTable:
         designs = list(map(_build_cached, specs))
 
     ms = scenario.delays
-    m_cells = _column(np.asarray(ms, dtype=float))
+    m_cells = _column(np.asarray(ms, dtype=float)) * len(models)
     rows = []
     with scenario.rate_errors_on_line():
         for (_, spacing), design in zip(scenario.designs, designs):
-            for model in models:
-                cells = _cells(design, model, ms, scenario.m_interim)
-                cells.update(m=m_cells, spacing=repeat(spacing))
-                rows += zip(*(cells[c] for c in SWEEP_COLUMNS))
+            cells = _block(design, models, ms, scenario.m_interim)
+            cells.update(m=m_cells, spacing=repeat(spacing))
+            rows += zip(*(cells[c] for c in SWEEP_COLUMNS))
     return ResultTable(columns=SWEEP_COLUMNS, rows=rows, parameters=dict(scenario.parameters))
 
 
@@ -217,7 +221,7 @@ def case_study_table() -> ResultTable:
     for name, shape in _CASE_FAMILIES:
         for num_stages in (2, 3, 4, 5):
             design = _case_design(shape, num_stages)
-            cells = _cells(design, model, (_CASE_M,), 0.0)
+            cells = _block(design, (model,), (_CASE_M,), 0.0)
             stage_cells = [str(n) for n in round_for_report(design)]
             stage_cells += [""] * (MAX_TABLE_STAGES - num_stages)
             cells.update({f"n_{k + 1}": repeat(n) for k, n in enumerate(stage_cells)}, boundary=[name])

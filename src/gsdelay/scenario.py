@@ -13,8 +13,9 @@ span keys are checked last, as each library object is built once: the sizes
 of the DesignSpec at every grid point (K x spacing), on the line of tau, and
 the accrual rate of one participant under every RecruitmentModel, on the
 line of l (mixed) or t_max. A key the file leaves out is not passed on, so
-its default is the library's. A k or spacing listed twice is refused on its
-line; with an explicit rho the one spacing label is "rho".
+its default is the library's. A k, spacing, l or m listed twice is refused
+on its line, as it would repeat sweep rows; with an explicit rho the one
+spacing label is "rho".
 
 Example::
 
@@ -234,7 +235,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         return checked(entry, rule, *names, _real(entry.value, entry.line, key))
 
     def listed(section: str, key: str, what: str, rule, *names, required=False, read=_real):
-        """Each token of a list through its library rule; () when the key is absent."""
+        """Each token of a list through its library rule; () when the key is absent.
+
+        Every list is a grid axis (k, spacing, l or m), so a value listed
+        twice is refused: it would repeat a design or sweep rows.
+        """
         entry = get(section, key, required)
         if entry is None:
             return ()
@@ -243,13 +248,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         )
         if not values:
             raise ScenarioError(f"{key}: at least one {what} is required", entry.line)
-        return values
-
-    def grid_axis(key: str, values: tuple) -> tuple:
-        """The values of k or spacing, distinct: the grid holds one design per (k, spacing)."""
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ScenarioError(f"{key}: {value} is listed more than once", get("design", key).line)
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ScenarioError(f"{key}: {value} is listed more than once", entry.line)
+            seen.add(value)
         return values
 
     def choice(section: str, key: str, options: tuple[str, ...], required=False) -> str | None:
@@ -267,7 +270,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     beta = number("design", "beta", _check_beta, required=True)
     tau = number("design", "tau", _check_positive, "tau", required=True)
     mu = number("design", "mu", _check_finite, "mu")
-    stages = grid_axis("k", listed("design", "k", "stage count", _check_stages, required=True, read=_integer))
+    stages = listed("design", "k", "stage count", _check_stages, required=True, read=_integer)
 
     rho = None
     if (e := get("design", "rho")) is not None:
@@ -287,7 +290,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     if rho is not None and (e := get("design", "spacing")) is not None:
         raise ScenarioError("spacing cannot be combined with an explicit rho", e.line)
     spacings = listed("design", "spacing", "label", spacing_rule, read=lambda t, *_: t.lower())
-    spacings = ("rho",) if rho is not None else grid_axis("spacing", spacings) or ("equal",)
+    spacings = ("rho",) if rho is not None else spacings or ("equal",)
 
     family = choice("design", "family", ("wang-tsiatis", "hsd"), required=True)
     for key, owner in (("delta", "wang-tsiatis"), ("gamma", "hsd")):

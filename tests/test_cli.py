@@ -347,6 +347,14 @@ def _value(lo, hi):
     return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(EDGE_TOKENS))
 
 
+def _number(token):
+    """A token's float value, so "0" and "0.0" are one delay; the token when float() refuses it."""
+    try:
+        return float(token)
+    except ValueError:
+        return token
+
+
 @st.composite
 def scenario_texts(draw):
     lines = [
@@ -368,7 +376,8 @@ def scenario_texts(draw):
         lines.append(f"l = {draw(_value(0.0, 1.0))}")
     lines += [
         "[delay]",
-        f"m = {draw(_value(0.0, 30.0))} {draw(_value(0.0, 30.0))}",
+        # two distinct delays: a repeated one is refused (test_scenario covers it)
+        "m = " + " ".join(draw(st.lists(_value(0.0, 30.0), min_size=2, max_size=2, unique_by=_number))),
         f"m_interim = {draw(_value(0.0, 2.0))}",
     ]
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from gsdelay.reports import (
 )
 from gsdelay.delay import DelayQuery, _delay_columns, assess_delay
 from gsdelay.errors import ConfigError, ScenarioError
-from gsdelay.recruitment import RecruitmentModel, pipeline_counts
+from gsdelay.recruitment import PipelineProfile, RecruitmentModel, pipeline_counts
 from gsdelay.scenario import load_scenario, parse_scenario
 
 SMALL = """\
@@ -174,7 +174,10 @@ def oracle_assessment(design, model, m, m_interim):
     ess_delay = float(np.dot(stop, np.asarray(stage_n) + np.asarray(pipeline)))
     eg_delay = (design.n_single - ess_delay) / design.n_single
     el = None if design.eg <= 0 else 100.0 * (design.eg - eg_delay) / design.eg
-    et = m + m_interim + sum(t * s for t, s in zip(times, stop))
+    stage_time = 0.0
+    for t, s in zip(times, stop):  # stage by stage, in order
+        stage_time += t * s
+    et = m + m_interim + stage_time
     et_single = design.n_single * model.t_max / n_max + m
     return pipeline, ess_delay, eg_delay, el, et, et_single
 
@@ -206,18 +209,21 @@ def sweep_scenarios(draw):
     if draw(st.booleans()):
         lines.append("pattern = uniform")
     else:
-        ramps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))
+        ramps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3, unique=True))
         lines += ["pattern = mixed", "l = " + " ".join(map(repr, ramps))]
-    # 0, t_max and a delay past it, where every cap binds; drawn delays cross the ramp ends
+    # 0, t_max and a delay past it, where every cap binds; drawn delays cross the
+    # ramp ends. A scenario lists each delay and ramp fraction once.
     delays = [0.0, t_max, 2.5 * t_max]
-    delays += draw(st.lists(st.floats(0.0, 2.0 * t_max), min_size=1, max_size=12))
+    delays += draw(st.lists(
+        st.floats(0.0, 2.0 * t_max).filter(lambda m: m not in delays), min_size=1, max_size=12, unique=True
+    ))
     m_interim = draw(st.sampled_from((0.0, 0.5, 1.75)))
     lines += ["[delay]", "m = " + " ".join(map(repr, delays)), f"m_interim = {m_interim!r}"]
     return parse_scenario("\n".join(lines) + "\n")
 
 
 class TestVectorisedSweep:
-    """A sweep assesses all delays of a (design, model) pair in one numpy pass."""
+    """A sweep assesses all models and delays of a design in one numpy pass."""
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_scenarios())
@@ -234,42 +240,121 @@ class TestVectorisedSweep:
             ]
             assert table.rows == expected
             for model in scenario.recruitment_models():
-                cols = _delay_columns(design, model, scenario.delays, scenario.m_interim)
+                cols = _delay_columns(design, (model,), scenario.delays, scenario.m_interim)
                 for i, m in enumerate(scenario.delays):
                     # the core's row i is bit for bit the per-row formulas
                     pipeline, essd, eg_delay, el, et, et_single = oracle_assessment(
                         design, model, m, scenario.m_interim
                     )
-                    assert cols.pipeline[i].tolist() == pipeline
-                    assert (cols.ess_delay[i], cols.eg_delay[i], cols.et[i], cols.et_single[i]) == (
-                        essd, eg_delay, et, et_single
-                    )
-                    assert (None if cols.el is None else cols.el[i]) == el
+                    assert cols.pipeline[0, i].tolist() == pipeline
+                    row = (cols.ess_delay[0, i], cols.eg_delay[0, i], cols.et[0, i], cols.et_single[0, i])
+                    assert row == (essd, eg_delay, et, et_single)
+                    assert (None if cols.el is None else cols.el[0, i]) == el
                     # and the one-delay views are that row
                     one = assess_delay(design, DelayQuery(m=m, model=model, m_interim=scenario.m_interim))
                     assert one.profile == pipeline_counts(design, model, m)
                     assert one.profile.pipeline == tuple(pipeline)
-                    assert one.profile.recruit_times == cols.recruit_times
+                    assert one.profile.recruit_times == tuple(cols.recruit_times[0].tolist())
                     assert (one.ess_delay, one.eg_delay, one.el, one.et, one.et_single) == (
                         essd, eg_delay, el, et, et_single
                     )
-                    assert one.t_single == cols.t_single
+                    assert one.t_single == cols.t_single[0]
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    def test_each_model_is_its_own_one_model_pass(self, table_design, K):
+        design = table_design(K)
+        t_max, m_interim = 24.0, 0.5
+        models = (
+            RecruitmentModel.mixed(t_max, 0.3), RecruitmentModel.uniform(t_max),
+            RecruitmentModel.mixed(t_max, 0.04), RecruitmentModel.linear(t_max),
+            RecruitmentModel.mixed(t_max, 0.6),
+        )
+        # the ramp ends are 7.2, 0.96, 24 and 14.4 months; the caps bind past
+        # t_max, and the window of the largest delay overflows to inf
+        ms = (0.0, 0.5, 0.96, 3.0, 7.2, 9.75, 14.4, 20.0, 24.0, 36.0, 1e300, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sub-month ramp of l = 0.04 is in range
+            cols = _delay_columns(design, models, ms, m_interim)
+            for p, model in enumerate(models):
+                one = _delay_columns(design, (model,), ms, m_interim)
+                for name in ("pipeline", "recruit_times", "ess_delay", "eg_delay", "el", "et",
+                             "t_single", "et_single"):
+                    block, alone = getattr(cols, name), getattr(one, name)
+                    if block is None:
+                        assert alone is None and design.eg <= 0
+                    else:
+                        assert block[p].tobytes() == alone[0].tobytes(), name
+                for i, m in enumerate(ms):
+                    # the one-delay views are row (p, i) of the block
+                    row = assess_delay(design, DelayQuery(m=m, model=model, m_interim=m_interim))
+                    assert row.profile == pipeline_counts(design, model, m) == PipelineProfile(
+                        tuple(cols.pipeline[p, i].tolist()), tuple(cols.recruit_times[p].tolist())
+                    )
+                    scalars = [row.ess_delay, row.eg_delay, row.et, row.t_single, row.et_single]
+                    block = [cols.ess_delay[p, i], cols.eg_delay[p, i], cols.et[p, i], cols.t_single[p],
+                             cols.et_single[p, i]]
+                    assert np.array(scalars).tobytes() == np.array(block).tobytes()
+                    assert row.el == (None if cols.el is None else cols.el[p, i])
 
     def test_single_stage_loss_column_is_blank(self):
         text = SMALL.replace("k = 2 3", "k = 1")
         cols = _delay_columns(
             reports._build_cached(parse_scenario(text).design_spec(1, "equal")),
-            RecruitmentModel.uniform(24.0), (3.0, 6.0), 0.0,
+            (RecruitmentModel.uniform(24.0),), (3.0, 6.0), 0.0,
         )
         assert cols.el is None
         assert [row[SWEEP_COLUMNS.index("el")] for row in run_sweep(parse_scenario(text)).rows] == ["", ""]
 
-    @pytest.mark.parametrize("ms, m_interim", [
-        ((3.0, -1.0), 0.0), ((math.nan,), 0.0), ((3.0,), -0.5), ((3.0,), math.nan),
+    @pytest.mark.parametrize("ms, m_interim, name", [
+        ((3.0, -1.0), 0.0, "m = -1.0"), ((math.nan,), 0.0, "m = nan"),
+        ((3.0, math.inf, -1.0), 0.0, "m = inf"), ((-2, 3.0), 0.0, "m = -2"),
+        ((3.0,), -0.5, "m_interim = -0.5"), ((3.0,), math.nan, "m_interim = nan"),
     ])
-    def test_core_checks_every_delay(self, table_design, ms, m_interim):
-        with pytest.raises(ConfigError, match="finite and non-negative"):
-            _delay_columns(table_design(2), RecruitmentModel.uniform(24.0), ms, m_interim)
+    def test_core_checks_every_delay(self, table_design, ms, m_interim, name):
+        # the first bad value is named as given
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and non-negative$"):
+            _delay_columns(table_design(2), (RecruitmentModel.uniform(24.0),), ms, m_interim)
+
+    def test_one_core_call_per_design(self, monkeypatch):
+        calls = []
+
+        def counting(design, models, ms, m_interim):
+            calls.append(len(models))
+            return _delay_columns(design, models, ms, m_interim)
+
+        monkeypatch.setattr(reports, "_delay_columns", counting)
+        text = SMALL.replace("k = 2 3", "k = 2 3 4").replace("uniform", "mixed\nl = 0.2 0.4 0.6 1")
+        assert len(run_sweep(parse_scenario(text)).rows) == 3 * 4 * 2
+        assert calls == [4, 4, 4]
+        calls.clear()
+        case_study_table()
+        assert calls == [1] * 12
+
+
+class TestColumnFormat:
+    """A column is one %-format call; its cells are the f-string's, value for value."""
+
+    @staticmethod
+    def assert_cells_match(values):
+        array = np.array(values, dtype=float)
+        assert reports._column(array) == [f"{v:.2f}" for v in values]
+        assert reports._column(array, "%.4f") == [f"{v:.4f}" for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_finite_doubles(self, values):
+        self.assert_cells_match(values)
+
+    def test_ties_zeros_and_extremes(self):
+        # binary ties and near-ties of the last decimal, signed zero, the
+        # smallest subnormal, a huge value and the infinities
+        values = [-0.0, 0.125, 0.375, 1.005, 2.675, 5e-324, 1e300, math.inf]
+        self.assert_cells_match(values + [-v for v in values] + [math.nan])
+
+    def test_a_block_is_formatted_row_major(self):
+        block = np.arange(6.0).reshape(2, 3) / 8.0
+        assert reports._column(block) == [f"{v:.2f}" for v in block.ravel().tolist()]
+        assert reports._column(block[:, 1:]) == ["0.12", "0.25", "0.50", "0.62"]
 
 
 class TestRoundTrip:

@@ -326,10 +326,14 @@ class TestOneMessagePerKind:
         [
             ("k = 2", "k = 2 2", 5, "k: 2 is listed more than once"),
             ("k = 2", "k = 3\nspacing = late late", 6, "spacing: late is listed more than once"),
+            ("l = 0.5", "l = 0.2 0.2", 10, "l: 0.2 is listed more than once"),
+            ("m = 3", "m = 3 3", 12, "m: 3.0 is listed more than once"),
+            ("m = 3", "m = 6 3 6/2", 12, "m: 3.0 is listed more than once"),
         ],
     )
     def test_a_grid_entry_listed_twice(self, tmp_path, capsys, old, new, line, message):
-        # the grid holds one design per (k, spacing); a repeat would repeat its rows
+        # the grid holds one design per (k, spacing) and one row per (l, m)
+        # under it; a repeat would repeat its rows
         text = SINGLE.replace(old, new)
         with pytest.raises(ScenarioError, match=f"^line {line}: {message}$"):
             parse_scenario(text)
