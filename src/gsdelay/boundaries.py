@@ -120,9 +120,9 @@ class FutilityStyle(str, enum.Enum):
 class BoundarySet:
     """Per-stage critical values with the attained one-sided level.
 
-    A solved set also keeps, privately, the interim tables of its final
+    A solved set also keeps, privately, the interim records of its final
     zero-drift pass on the information fractions (see ``exit_probabilities``),
-    from which a design gets the exit probabilities at any drift by tilting.
+    on which a design walks to the exit probabilities at any drift by tilting.
     """
 
     efficacy: tuple[float, ...]
@@ -284,7 +284,6 @@ def spending_boundaries(
     stepper = _StageStepper(rho, 0.0, nodes)
     solved: list[float] = []
     crossed: list[float] = []
-    tables = []
     for k in range(K):
         probit_d = _clipped_probit(increments[k])
         above = functools.cache(stepper.above)
@@ -309,10 +308,10 @@ def spending_boundaries(
                     f"f_{k + 1} = {f_k:.6g}; the spend schedule leaves no continuation"
                 )
             stepper.advance(e_k, f_k)
-            tables.append(stepper.table())
 
     e = np.asarray(solved)
-    return BoundarySet(tuple(e), tuple(_apply_futility(e, futility)), sum(crossed), tuple(tables))
+    f = _apply_futility(e, futility)
+    return BoundarySet(tuple(e), tuple(f), sum(crossed), tuple(stepper.stages))
 
 
 def build_boundaries(

@@ -164,17 +164,6 @@ class GroupSequentialDesign:
     def num_stages(self) -> int:
         return self.spec.num_stages
 
-    def exit_at(self, mu: float) -> ExitProbabilities:
-        """Exit probabilities under an arbitrary effect, by the density recursion.
-
-        This is independent of the tilted null pass that ``build_design``
-        evaluates, so it also checks the design's own exit probabilities.
-        """
-        problem = SequentialProblem(
-            self.info_levels, mu, self.boundaries.efficacy, self.boundaries.futility
-        )
-        return exit_probabilities(problem)
-
 
 def single_stage_n(alpha: float, beta: float, tau: float, allocation: float = 1.0) -> float:
     """Total sample size of the single-look z-test (continuous, not rounded).

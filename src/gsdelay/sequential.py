@@ -22,11 +22,12 @@ i - j, so one advance costs one vector of n_prev + n_new - 1 exponentials and
 one 1-D convolution (by FFT on large lattices), plus O(n) direct kernel
 values for the off-lattice nodes.
 
-The recursion is one stage stepper. It holds the continuing sub-density and
-gives the probability of crossing any critical value at the next analysis in
-O(n). ``exit_probabilities`` is a loop over it, and the error-spending solve
-steps it once per stage, so a whole set of Hwang-Shih-DeCani boundaries
-costs about one recursion.
+The recursion is one stage stepper. Each advance records the continuing
+sub-density with the next increment's scales, from which ``_crossing`` gives
+the chance of crossing any critical value at the next analysis in O(n).
+``exit_probabilities`` advances through the interims and walks the records,
+stage 1 in closed form; the error-spending solve steps the stepper once per
+stage, so a set of Hwang-Shih-DeCani boundaries costs about one recursion.
 
 One pass under zero drift serves every drift. By Wald's likelihood-ratio
 identity (Siegmund, *Sequential Analysis*, 1985, ch. 2; Jennison & Turnbull
@@ -35,12 +36,12 @@ times exp(theta * s - theta^2 * I_k / 2) on the score scale, and the next
 increment's mean moves by theta * dI_k. The Gaussian kernel obeys the same
 identity, so where the bounds clip both windows the tilt and the drifted
 recursion give the same quadrature to rounding; elsewhere they integrate
-the same density on shifted lattices. A zero-drift
-``exit_probabilities`` therefore keeps each interim's nodes and weighted
-density, and ``_Tilt`` walks those tables one stage at a time, as the
-recursion walks its stepper, to give the exit probabilities at any drift in
-O(n) per stage, with no convolution; the boundary solves keep the tables
-of their final pass, and the power search of ``design`` runs on them.
+the same density on shifted lattices. A zero-drift ``exit_probabilities``
+therefore keeps its records, and ``_Tilt`` runs the same walk on them with
+the density reweighted to any drift: O(n) per stage with no convolution,
+and at zero drift the recursion's numbers to the bit. The boundary solves
+keep the records of their final pass, and the power search of ``design``
+runs on them.
 
 The tilt sees only the null windows, mean +/- 8 at zero drift clipped to
 (f_k, e_k]. A drifted density within the bounds but past +/- 8 is missed:
@@ -56,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -99,9 +101,6 @@ _GL_NODES = 0.5 + 0.5 * np.array(
 _GL_WEIGHTS = 0.5 * np.array(
     [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
 )
-
-# The table of a stage past which no trial continues.
-_EMPTY = np.empty(0)
 
 # The smallest and largest doubles strictly inside (0, 1).
 _SMALLEST_P = math.ulp(0.0)
@@ -233,8 +232,8 @@ class ExitProbabilities:
     accept_per_stage[k] is the probability of stopping at stage k+1 with
     Z <= f, reject_per_stage[k] of stopping with Z > e. The two sum to the
     stage stopping probability, and over all stages they sum to one.
-    A zero-drift recursion also keeps, privately, each interim's lattice nodes
-    and weighted density, from which ``_Tilt`` gets any drift.
+    A zero-drift recursion also keeps, privately, the stepper's interim
+    records, on which ``_Tilt`` walks to any drift.
     """
 
     accept_per_stage: tuple[float, ...]
@@ -266,15 +265,37 @@ def _convolve_valid(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return irfft(rfft(a, n) * rfft(q, n), n)[a.size - 1 : q.size]
 
 
+class _Interim(NamedTuple):
+    """The continuing sub-density past interim k-1, with the scales analysis k needs."""
+
+    s: np.ndarray  # the interim's nodes on the score scale
+    wg: np.ndarray  # quadrature weight times sub-density at each node
+    s_sd: np.ndarray  # s / sd
+    sqrt_i_sd: float  # sqrt(I_k) / sd
+    sd: float  # the sd of the increment, sqrt(I_k - I_{k-1})
+    half_i: float  # I_{k-1} / 2, for the tilt
+
+
+def _crossing(stage: _Interim, c: float, theta: float, wg: np.ndarray, above: bool) -> float:
+    """P(reach analysis k with Z_k > c), or with Z_k <= c, at drift theta.
+
+    wg is the record's weighted density at theta: its own, or tilted there.
+    Given S_{k-1} = s the increment is N(theta * sd^2, sd^2), so Z_k > c
+    with probability Phi(s / sd + (theta * sd - c * sqrt(I_k) / sd)).
+    """
+    shift = theta * stage.sd - c * stage.sqrt_i_sd
+    return float(np.dot(wg, ndtr(stage.s_sd + shift if above else -shift - stage.s_sd)))
+
+
 class _StageStepper:
     """The continuing sub-density of a sequential z-test, one analysis at a time.
 
-    At stage k (0-based) it holds the quadrature-weighted sub-density of
-    (still running, S_{k-1} = s) on the stage-(k-1) nodes of the score
-    lattice, so the probability of reaching stage k with Z_k above or below
-    any critical value costs one O(n) integral of a normal CDF; ``advance``
-    moves the density past stage k for one lattice convolution. Stage 0
-    needs no density: Z_1 is N(theta * sqrt(I_1), 1).
+    ``stages`` holds one ``_Interim`` per interim passed, or None from the
+    first past which no trial continues; from the last one the probability
+    of crossing any critical value at the next analysis is one O(n)
+    integral. ``advance`` moves the density past the next analysis for one
+    lattice convolution. Before the first advance nothing is recorded: Z_1
+    is N(theta * sqrt(I_1), 1).
 
     Raises:
         ConfigError: if nodes is below 2, or if the smallest information
@@ -298,41 +319,26 @@ class _StageStepper:
                     f"final information, needs {widest:.3g} lattice points per stage, "
                     f"above the limit of {_MAX_LATTICE}"
                 )
-        self._mean = theta * math.sqrt(info[0])
-        self._stage = 0
-        # weights * density on the lattice nodes, then on the off-lattice ones;
-        # None at stage 0 and once no mass continues
-        self._wg = None
+        self.stages: list[_Interim | None] = []
 
     def above(self, c: float) -> float:
-        """P(reach this stage and Z_k > c)."""
-        if self._stage == 0:
-            return float(ndtr(self._mean - c))
-        if self._wg is None:
-            return 0.0
-        return float(np.dot(self._wg, ndtr((self._cond_mean - c * self._sqrt_i) / self._sd)))
-
-    def below(self, c: float) -> float:
-        """P(reach this stage and Z_k <= c)."""
-        if self._stage == 0:
-            return float(ndtr(c - self._mean))
-        if self._wg is None:
-            return 0.0
-        return float(np.dot(self._wg, ndtr((c * self._sqrt_i - self._cond_mean) / self._sd)))
+        """P(reach the next analysis and Z > c)."""
+        if not self.stages:
+            return float(ndtr(self._theta * math.sqrt(self._info[0]) - c))
+        stage = self.stages[-1]
+        return 0.0 if stage is None else _crossing(stage, c, self._theta, stage.wg, True)
 
     def advance(self, e: float, f: float) -> None:
-        """Continue past this stage on (f, e], clipped to the stage mean +/- 8."""
-        k = self._stage
-        self._stage += 1
-        if k > 0 and self._wg is None:
-            return
+        """Continue past the next analysis on (f, e], clipped to the stage mean +/- 8."""
+        k = len(self.stages)
+        prev = self.stages[-1] if k else None
         info = self._info
         sqrt_ik = math.sqrt(info[k])
         mean = self._theta * info[k]
         lo = max(f * sqrt_ik, mean - _TAIL_WIDTH * sqrt_ik)
         hi = min(e * sqrt_ik, mean + _TAIL_WIDTH * sqrt_ik)
-        if not hi > lo:
-            self._wg = None
+        if (k and prev is None) or not hi > lo:
+            self.stages.append(None)
             return
         # the end-corrected trapezoid rule on the lattice nodes in [lo, hi], then
         # one Gauss-Legendre panel over the remainder [top, hi], shorter than h;
@@ -358,25 +364,17 @@ class _StageStepper:
         if k == 0:
             g = _gauss((s - mean) / sqrt_ik) / (sqrt_ik * _SQRT_2PI)
         else:
-            g = self._propagate(s, n)
-        self._wg = w * g
+            g = self._propagate(prev, info[k] - info[k - 1], s, n)
         self._lattice_size = n
-        if self._stage < len(info):
-            d_info = info[self._stage] - info[k]
-            self._sd = math.sqrt(d_info)
-            self._sqrt_i = math.sqrt(info[self._stage])
-            # conditional mean of S_{k+1} given each node
-            self._cond_mean = s + self._theta * d_info
+        sd = math.sqrt(info[k + 1] - info[k])
+        sqrt_i_sd = math.sqrt(info[k + 1]) / sd
+        self.stages.append(_Interim(s, w * g, s / sd, sqrt_i_sd, sd, info[k] / 2.0))
 
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Conditional means and weighted density past the last stage; empty if none continues."""
-        if self._wg is None:
-            return _EMPTY, _EMPTY
-        return self._cond_mean, self._wg
-
-    def _propagate(self, s: np.ndarray, n_new: int) -> np.ndarray:
+    def _propagate(self, prev: _Interim, d_info: float, s: np.ndarray, n_new: int) -> np.ndarray:
         """Density at the new nodes s, whose first n_new lie on the lattice."""
-        wg, mu, sd = self._wg, self._cond_mean, self._sd
+        wg, sd = prev.wg, prev.sd
+        # conditional mean of the new score given each old node
+        mu = prev.s + self._theta * d_info
         n_old = self._lattice_size
         g = np.zeros(s.size)
         if n_old and n_new:
@@ -388,6 +386,30 @@ class _StageStepper:
         if s.size > n_new:
             g[n_new:] = _gauss(np.subtract.outer(s[n_new:], mu) / sd) @ wg
         return g / (sd * _SQRT_2PI)
+
+
+def _walk(stages, sqrt_i1: float, efficacy, futility, theta: float, tilt: bool):
+    """Accept and reject per stage at drift theta, before the final scaling.
+
+    Stage 1 is normal with mean theta * sqrt(I_1); stage k crosses from the
+    record before it, and none is reached past a None. With tilt the records
+    hold a zero-drift density, reweighted by exp(theta s - theta^2 I_{k-1} / 2).
+    """
+    K = len(efficacy)
+    accept, reject = np.zeros(K), np.zeros(K)
+    mean = theta * sqrt_i1
+    reject[0] = ndtr(mean - efficacy[0])
+    accept[0] = ndtr(futility[0] - mean)
+    for k, stage in enumerate(stages, start=1):
+        if stage is None:
+            break
+        wg = stage.wg
+        if tilt:
+            wg = wg * np.exp(theta * stage.s - theta * theta * stage.half_i)
+        reject[k] = _crossing(stage, efficacy[k], theta, wg, True)
+        if futility[k] > -math.inf:
+            accept[k] = _crossing(stage, futility[k], theta, wg, False)
+    return accept, reject
 
 
 def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -> ExitProbabilities:
@@ -409,24 +431,14 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
     Returns:
         ExitProbabilities at the problem's drift.
     """
-    K = problem.num_stages
-    e = np.asarray(problem.efficacy, dtype=float)
-    f = np.asarray(problem.futility, dtype=float)
-    stepper = _StageStepper(np.asarray(problem.info_levels, dtype=float), problem.drift, nodes)
-    # a zero-drift pass keeps its interim tables for tilting
-    tables = [] if problem.drift == 0.0 else None
-    accept = np.zeros(K)
-    reject = np.zeros(K)
-    for k in range(K - 1):
-        reject[k] = stepper.above(e[k])
-        if math.isfinite(f[k]):
-            accept[k] = stepper.below(f[k])
+    info = np.asarray(problem.info_levels, dtype=float)
+    e, f = problem.efficacy, problem.futility
+    stepper = _StageStepper(info, problem.drift, nodes)
+    for k in range(problem.num_stages - 1):
         stepper.advance(e[k], f[k])
-        if tables is not None:
-            tables.append(stepper.table())
-    reject[K - 1] = stepper.above(e[K - 1])
-    accept[K - 1] = stepper.below(e[K - 1])
-    return _summing_to_one(accept, reject, tuple(tables or ()))
+    accept, reject = _walk(stepper.stages, math.sqrt(info[0]), e, f, problem.drift, tilt=False)
+    # a zero-drift pass keeps its interim records for tilting
+    return _summing_to_one(accept, reject, tuple(stepper.stages) if problem.drift == 0.0 else ())
 
 
 def _summing_to_one(accept: np.ndarray, reject: np.ndarray, tables=()) -> ExitProbabilities:
@@ -443,65 +455,33 @@ def _summing_to_one(accept: np.ndarray, reject: np.ndarray, tables=()) -> ExitPr
 
 
 class _Tilt:
-    """Exit probabilities at any drift from the interim tables of a zero-drift pass.
+    """Exit probabilities at any drift from the interim records of a zero-drift pass.
 
     ``tables`` are the ``_null_tables`` of ``exit_probabilities`` at zero
     drift on the same information levels and bounds, or the ones a boundary
-    solve keeps. Under drift theta the continuing sub-density at each node s
-    is the null one times exp(theta * s - theta^2 * I_k / 2), and the next
-    increment's mean moves by theta * dI, so the tilt walks the stages as the
-    recursion does, at O(n) per stage and with no convolution.
+    solve keeps. A call is the recursion's own walk over them, with each
+    density reweighted to the drift.
 
     The tilt reweights only the nodes of the null windows, mean +/- 8 at zero
     drift clipped to (f_k, e_k]. Where a bound beyond 8 lets the drifted
     density reach past them, the missed mass is bounded by its normal tail;
     above 1e-14 a call returns None, so that the caller runs the recursion at
-    that drift instead. Without one table per interim every call returns None.
+    that drift instead. Without one record per interim every call returns None.
     """
 
     def __init__(self, tables, info, efficacy, futility):
-        info = np.asarray(info, dtype=float)
-        e = np.asarray(efficacy, dtype=float)
-        f = np.array(futility, dtype=float)
-        K = info.size
-        self._usable = len(tables) == K - 1
-        sqrt_i = np.sqrt(info)
-        # stage 1 is normal; the last stage accepts below its efficacy bound
-        f[K - 1] = e[K - 1]
-        self._first = sqrt_i[0], e[0], f[0]
+        sqrt_i = np.sqrt(np.asarray(info, dtype=float))
+        e, f = np.asarray(efficacy, dtype=float), np.asarray(futility, dtype=float)
+        self._stages = tables if len(tables) == sqrt_i.size - 1 else None
+        self._walk_args = float(sqrt_i[0]), e.tolist(), f.tolist()
         # the null windows' edges at +/- 8: the missed mass is Phi(theta * this - 8)
         self._guard = np.concatenate(
             (sqrt_i[:-1][e[:-1] > _TAIL_WIDTH], -sqrt_i[:-1][f[:-1] < -_TAIL_WIDTH])
         )
-        # per stage k past the first: the nodes s and weighted density of the
-        # interim before it, I_{k-1} / 2, the increment's sd, and the offsets of
-        # s from e_k and f_k in units of that sd. Under drift theta the
-        # increment's mean is theta * sd in those units, so Z_k crosses e_k with
-        # probability Phi(above + theta * sd) and falls to f_k or below with
-        # Phi(below - theta * sd); an infinite f_k accepts nothing.
-        self._walk = []
-        for k, (s, wg) in enumerate(tables if self._usable else (), start=1):
-            sd = math.sqrt(info[k] - info[k - 1])
-            s_sd = s / sd
-            above = s_sd - e[k] * sqrt_i[k] / sd
-            below = f[k] * sqrt_i[k] / sd - s_sd if math.isfinite(f[k]) else None
-            self._walk.append((s, wg, info[k - 1] / 2.0, sd, above, below))
 
     def __call__(self, theta: float) -> ExitProbabilities | None:
-        if not self._usable:
+        if self._stages is None:
             return None
         if not float(np.sum(ndtr(theta * self._guard - _TAIL_WIDTH))) <= _TILT_MISS:
             return None
-        sqrt_i1, e1, f1 = self._first
-        mean = theta * sqrt_i1
-        K = len(self._walk) + 1
-        reject, accept = np.zeros(K), np.zeros(K)
-        reject[0] = ndtr(mean - e1)
-        accept[0] = ndtr(f1 - mean)
-        for k, (s, wg, half_i, sd, above, below) in enumerate(self._walk, start=1):
-            tilted = wg * np.exp(theta * s - theta * theta * half_i)
-            shift = theta * sd
-            reject[k] = np.dot(tilted, ndtr(above + shift))
-            if below is not None:
-                accept[k] = np.dot(tilted, ndtr(below - shift))
-        return _summing_to_one(accept, reject)
+        return _summing_to_one(*_walk(self._stages, *self._walk_args, theta, tilt=True))

@@ -1,6 +1,18 @@
 import pytest
 
 from gsdelay.reports import _table_design
+from gsdelay.sequential import SequentialProblem, exit_probabilities
+
+
+def exit_at(design, mu):
+    """Exit probabilities of a built design under effect mu, by the density recursion.
+
+    This is independent of the tilted null pass that ``build_design``
+    evaluates, so it also checks the design's own exit probabilities.
+    """
+    bounds = design.boundaries
+    problem = SequentialProblem(design.info_levels, mu, bounds.efficacy, bounds.futility)
+    return exit_probabilities(problem)
 
 
 @pytest.fixture(scope="session")

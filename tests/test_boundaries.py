@@ -18,6 +18,7 @@ from gsdelay.boundaries import (
 )
 from gsdelay.errors import ConfigError, SolveError
 from gsdelay.sequential import SequentialProblem, exit_probabilities, normal_quantile
+from conftest import exit_at
 from zgrid_reference import zgrid_spending_boundaries
 
 EQUAL_3 = (1 / 3, 2 / 3, 1.0)
@@ -219,8 +220,8 @@ class TestSpendingBoundaries:
         for style in FutilityStyle:
             spec = design.DesignSpec(0.05, 0.1, 0.5, K, HwangShihDeCani(gamma), style)
             built = design.build_design(spec)
-            assert built.exit_at(0.0).total_reject == pytest.approx(0.05, abs=1e-6)
-            assert built.exit_at(spec.tau).total_reject == pytest.approx(0.9, abs=1e-6)
+            assert exit_at(built, 0.0).total_reject == pytest.approx(0.05, abs=1e-6)
+            assert exit_at(built, spec.tau).total_reject == pytest.approx(0.9, abs=1e-6)
 
     @pytest.mark.parametrize("style", list(FutilityStyle))
     @pytest.mark.parametrize("gamma", [30.0, 40.0])

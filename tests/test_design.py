@@ -17,6 +17,7 @@ from gsdelay.design import (
 )
 from gsdelay.errors import ConfigError, SolveError
 from gsdelay.sequential import normal_quantile
+from conftest import exit_at
 
 
 def wt_spec(K, **kwargs):
@@ -77,8 +78,8 @@ class TestBuildDesign:
     def test_level_and_power_identities(self, family, style):
         spec = wt_spec(3, family=family, futility=style)
         design = build_design(spec)
-        assert design.exit_at(0.0).total_reject == pytest.approx(spec.alpha, abs=1e-6)
-        assert design.exit_at(spec.tau).total_reject == pytest.approx(1 - spec.beta, abs=1e-6)
+        assert exit_at(design, 0.0).total_reject == pytest.approx(spec.alpha, abs=1e-6)
+        assert exit_at(design, spec.tau).total_reject == pytest.approx(1 - spec.beta, abs=1e-6)
 
     def test_information_is_quarter_total_at_unit_variances(self, table_design):
         design = table_design(4)
@@ -93,7 +94,7 @@ class TestBuildDesign:
         assert np.allclose(n1, 2.0 * n0)
         expected = 1.0 / (1.0 / n0[-1] + 1.0 / n1[-1])
         assert design.info_levels[-1] == pytest.approx(expected, rel=1e-12)
-        assert design.exit_at(spec.tau).total_reject == pytest.approx(0.9, abs=1e-6)
+        assert exit_at(design, spec.tau).total_reject == pytest.approx(0.9, abs=1e-6)
 
     def test_ess_never_exceeds_max(self, table_design):
         for K in (2, 3, 4, 5):
@@ -147,8 +148,8 @@ class TestBuildDesign:
         for style in FutilityStyle:
             spec = wt_spec(K, alpha=alpha, beta=beta, family=HwangShihDeCani(gamma), futility=style)
             built = build_design(spec)
-            assert built.exit_at(0.0).total_reject == pytest.approx(alpha, abs=1e-6)
-            assert built.exit_at(spec.tau).total_reject == pytest.approx(1 - beta, abs=1e-6)
+            assert exit_at(built, 0.0).total_reject == pytest.approx(alpha, abs=1e-6)
+            assert exit_at(built, spec.tau).total_reject == pytest.approx(1 - beta, abs=1e-6)
 
     def test_power_equal_to_the_level_has_no_single_stage_size(self):
         # z_{0.75} + z_{0.25} is exactly zero
@@ -224,7 +225,7 @@ class TestNullTables:
         assert hand_built == solved and hash(hand_built) == hash(solved)
         redesigned = dataclasses.replace(design, boundaries=hand_built)
         assert redesigned == design
-        assert redesigned.exit_at(0.5).total_reject == pytest.approx(0.9, abs=1e-6)
+        assert exit_at(redesigned, 0.5).total_reject == pytest.approx(0.9, abs=1e-6)
 
 
 NON_FINITE_OR_ZERO = [math.nan, math.inf, -math.inf, 0.0]

@@ -23,6 +23,7 @@ from gsdelay.sequential import (
     exit_probabilities,
     normal_quantile,
 )
+from conftest import exit_at
 from zgrid_reference import zgrid_exit_probabilities
 
 EQUAL_3 = (1 / 3, 2 / 3, 1.0)
@@ -170,7 +171,7 @@ class TestExitProbabilities:
         for K in (2, 3, 4, 5):
             design = table_design(K)
             for theta in (0.0, 0.25, 0.5, 1.0):
-                probs = design.exit_at(theta)
+                probs = exit_at(design, theta)
                 assert sum(probs.stop_per_stage) == pytest.approx(1.0, abs=1e-8)
                 for s, a, r in zip(
                     probs.stop_per_stage, probs.accept_per_stage, probs.reject_per_stage
@@ -181,7 +182,7 @@ class TestExitProbabilities:
     def test_rejection_monotone_in_drift(self, table_design):
         design = table_design(3)
         grid = np.linspace(-0.5, 1.5, 21)
-        powers = [design.exit_at(theta).total_reject for theta in grid]
+        powers = [exit_at(design, theta).total_reject for theta in grid]
         assert all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
 
     def test_grid_convergence(self, table_design):
@@ -355,6 +356,21 @@ class TestTiltedEvaluation:
             assert got is not None
             assert max_abs_error(got, direct(rho, bounds, eta)) <= 1e-14
 
+    @pytest.mark.parametrize("K", [2, 3, 5, 8])
+    @pytest.mark.parametrize("style", list(FutilityStyle), ids=lambda style: style.value)
+    @pytest.mark.parametrize(
+        "family", [WangTsiatis(0.0), WangTsiatis(0.5), HwangShihDeCani(-2.0)],
+        ids=["obrien-fleming", "pocock", "hsd-2"],
+    )
+    def test_zero_drift_is_the_recursion_to_the_bit(self, family, style, K):
+        # the tilt walks the recursion's own records with the same crossing
+        # integrals, and at zero drift its weights are the null ones times exp(0)
+        rho = np.arange(1, K + 1) / K
+        bounds = build_boundaries(family, K, rho, 0.025, style)
+        got, want = tilted(rho, bounds, 0.0), direct(rho, bounds, 0.0)
+        assert got.accept_per_stage == want.accept_per_stage
+        assert got.reject_per_stage == want.reject_per_stage
+
     def test_an_early_bound_beyond_8_takes_the_recursion(self, monkeypatch):
         # e_1 = 11.6: the null window stops at 8, and at eta = 10 the drifted
         # stage-1 density reaches past it
@@ -371,7 +387,7 @@ class TestTiltedEvaluation:
             futility=FutilityStyle.SYMMETRIC, mu_eval=1.1,
         )
         design = build_design(spec)
-        assert max_abs_error(design.exit, design.exit_at(spec.mu_eval)) <= 1e-12
+        assert max_abs_error(design.exit, exit_at(design, spec.mu_eval)) <= 1e-12
 
     @pytest.mark.xfail(
         strict=True,
@@ -421,7 +437,7 @@ class TestScoreLattice:
         stepper = sequential._StageStepper(np.array([1.0, 2.0]), mean, sequential.DEFAULT_NODES)
         stepper.advance(e, f)
         expected = ndtr(e - mean) - ndtr(max(f - mean, -8.0))
-        assert stepper._wg.sum() == pytest.approx(expected, rel=1e-12)
+        assert stepper.stages[-1].wg.sum() == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("nodes", [1, 0, math.nan])
     def test_too_few_nodes_rejected(self, nodes):
