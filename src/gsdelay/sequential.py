@@ -14,13 +14,17 @@ h = c * sqrt(min_k dI_k), dI_1 = I_1 and c = 16 / (nodes - 1): ``nodes``
 counts the lattice points across 16 standard deviations of the smallest
 increment, whose width sets the accuracy (Jennison & Turnbull 2000, ch. 19
 tie the grid to the normal scale of the increment). Stage k's nodes are
-L_k + i * h from the lower end L_k of its continuation interval, weighted by
-the trapezoid rule with Gregory end corrections (error O(h^8)); the remainder
-at the top, shorter than h, is one 4-point Gauss-Legendre panel of
-off-lattice nodes. Between two lattices the Gaussian kernel depends only on
-i - j, so one advance costs one vector of n_prev + n_new - 1 exponentials and
-one 1-D convolution (by FFT on large lattices), plus O(n) direct kernel
-values for the off-lattice nodes.
+L_k + i * h from the lower end L_k of its continuation interval (L_k, U_k],
+weighted by the trapezoid rule with Gregory end corrections up to the last
+of them, T_k, at or below U_k. The remainder [T_k, U_k], shorter than h,
+takes the weights of the degree-7 interpolating polynomial through the 8
+lattice nodes T_k - 3h to T_k + 4h, so each stage carries 4 support nodes
+past its top, where the density is its smooth continuation; a window of
+fewer than 7 lattice nodes is that stencil alone, from L_k. Both rules have
+error O(h^8). Every node lies on the lattice, and between two lattices the
+Gaussian kernel depends only on i - j, so one advance costs one vector of
+n_prev + n_new - 1 exponentials and one 1-D convolution (by FFT on large
+lattices).
 
 The recursion is one stage stepper. Each advance records the continuing
 sub-density with the next increment's scales, from which ``_crossing`` gives
@@ -44,8 +48,9 @@ keep the records of their final pass, and the power search of ``design``
 runs on them.
 
 The tilt sees only the null windows, mean +/- 8 at zero drift clipped to
-(f_k, e_k]. A drifted density within the bounds but past +/- 8 is missed:
-before each tilt the missed mass is bounded by the sum over the interims of
+(f_k, e_k], and their support nodes past the top. A drifted density within
+the bounds but past +/- 8 is missed: before each tilt the missed mass is
+bounded by the sum over the interims of
 [e_k > 8] Phi(theta sqrt(I_k) - 8) + [f_k < -8] Phi(-8 - theta sqrt(I_k)),
 and above 1e-14 the tilt declines, so that the caller runs the recursion at
 that drift. A drift below zero without a futility bound, or an early
@@ -90,17 +95,14 @@ _FFT_PRODUCTS = 4_000_000
 
 # End weights, in units of h, of the trapezoid rule corrected by Gregory's
 # formula through sixth differences: it integrates polynomials of degree 7
-# exactly, from 7 nodes up, so its error is O(h^8). The weights are positive.
+# exactly, from 7 nodes up, so its error is O(h^8). These weights are
+# positive; the remainder stencil's are not (down to -0.079 h).
 _GREGORY_END = np.array([36799, 176648, 54851, 177984, 89437, 130936, 119585]) / 120960.0
 
-# 4-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1];
-# the rule is exact to degree 7.
-_GL_NODES = 0.5 + 0.5 * np.array(
-    [-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]
-)
-_GL_WEIGHTS = 0.5 * np.array(
-    [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
-)
+# Antiderivatives of the degree-7 Lagrange basis on the 8 stencil nodes
+# -3.5, ..., 3.5: row p - 1 holds the coefficients of x^p, p = 1..8.
+_POWERS = np.arange(1.0, 9.0)
+_STENCIL = np.linalg.inv(np.vander(np.arange(8) - 3.5, increasing=True)) / _POWERS[:, None]
 
 # The smallest and largest doubles strictly inside (0, 1).
 _SMALLEST_P = math.ulp(0.0)
@@ -265,6 +267,11 @@ def _convolve_valid(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     return irfft(rfft(a, n) * rfft(q, n), n)[a.size - 1 : q.size]
 
 
+def _stencil_weights(a: float, b: float) -> np.ndarray:
+    """Weights of the 8 stencil nodes for the integral over [a, b], in node spacings."""
+    return (b**_POWERS - a**_POWERS) @ _STENCIL
+
+
 class _Interim(NamedTuple):
     """The continuing sub-density past interim k-1, with the scales analysis k needs."""
 
@@ -310,6 +317,7 @@ class _StageStepper:
             raise ConfigError(f"nodes = {nodes} must be at least 2")
         smallest = float(np.diff(info).min(initial=info[0]))
         self._h = 16.0 / (nodes - 1) * math.sqrt(smallest)
+        self._ends = (_GREGORY_END - 1.0) * self._h
         if len(info) > 1:
             # the widest continuation interval: mean +/- 8 at the last interim
             widest = 2.0 * _TAIL_WIDTH * math.sqrt(info[-2]) / self._h
@@ -340,52 +348,38 @@ class _StageStepper:
         if (k and prev is None) or not hi > lo:
             self.stages.append(None)
             return
-        # the end-corrected trapezoid rule on the lattice nodes in [lo, hi], then
-        # one Gauss-Legendre panel over the remainder [top, hi], shorter than h;
-        # an interval too short for the end corrections is one panel
+        # the end-corrected trapezoid rule on the n lattice nodes lo .. top, then
+        # the stencil on top - 3h .. top + 4h over the remainder [top, hi],
+        # shorter than h: in stencil units [-0.5, -0.5 + (hi - top) / h]
         h = self._h
-        n = int((hi - lo) / h) + 1
+        span = (hi - lo) / h
+        n = int(span) + 1
         if n < _GREGORY_END.size:
-            n = 0
-        top = lo + h * (n - 1) if n else lo
-        rest = hi - top
-        size = n + _GL_NODES.size if rest > 0.0 else n
-        s = np.empty(size)
-        w = np.empty(size)
-        s[:n] = np.arange(n) * h + lo
-        w[:n] = h
-        if n:
-            ends = (_GREGORY_END - 1.0) * h
-            w[: ends.size] += ends
-            w[n - ends.size : n] += ends[::-1]
-        if rest > 0.0:
-            s[n:] = top + rest * _GL_NODES
-            w[n:] = rest * _GL_WEIGHTS
+            # too short for the end corrections: the stencil alone, on lo .. lo + 7h
+            n, start = 4, -3.5
+            w = np.zeros(8)
+        else:
+            start = -0.5
+            w = np.zeros(n + 4)
+            w[:n] = h
+            w[: self._ends.size] += self._ends
+            w[n - self._ends.size : n] += self._ends[::-1]
+        w[n - 4 :] += h * _stencil_weights(start, span + 0.5 - n)
+        s = np.arange(n + 4) * h + lo
         if k == 0:
             g = _gauss((s - mean) / sqrt_ik) / (sqrt_ik * _SQRT_2PI)
         else:
-            g = self._propagate(prev, info[k] - info[k - 1], s, n)
-        self._lattice_size = n
+            g = self._propagate(prev, info[k] - info[k - 1], s)
         sd = math.sqrt(info[k + 1] - info[k])
         sqrt_i_sd = math.sqrt(info[k + 1]) / sd
         self.stages.append(_Interim(s, w * g, s / sd, sqrt_i_sd, sd, info[k] / 2.0))
 
-    def _propagate(self, prev: _Interim, d_info: float, s: np.ndarray, n_new: int) -> np.ndarray:
-        """Density at the new nodes s, whose first n_new lie on the lattice."""
-        wg, sd = prev.wg, prev.sd
-        # conditional mean of the new score given each old node
-        mu = prev.s + self._theta * d_info
-        n_old = self._lattice_size
-        g = np.zeros(s.size)
-        if n_old and n_new:
-            # lattice to lattice: the kernel is a function of i - j alone
-            offsets = np.arange(1 - n_old, n_new) * self._h + (s[0] - mu[0])
-            g[:n_new] = _convolve_valid(wg[:n_old], _gauss(offsets / sd))
-        if wg.size > n_old:
-            g[:n_new] += _gauss(np.subtract.outer(s[:n_new], mu[n_old:]) / sd) @ wg[n_old:]
-        if s.size > n_new:
-            g[n_new:] = _gauss(np.subtract.outer(s[n_new:], mu) / sd) @ wg
-        return g / (sd * _SQRT_2PI)
+    def _propagate(self, prev: _Interim, d_info: float, s: np.ndarray) -> np.ndarray:
+        """Density at the new lattice nodes s, from the previous lattice's."""
+        # the kernel is a function of i - j alone, offset by the conditional mean
+        mu = prev.s[0] + self._theta * d_info
+        offsets = np.arange(1 - prev.s.size, s.size) * self._h + (s[0] - mu)
+        return _convolve_valid(prev.wg, _gauss(offsets / prev.sd)) / (prev.sd * _SQRT_2PI)
 
 
 def _walk(stages, sqrt_i1: float, efficacy, futility, theta: float, tilt: bool):
@@ -444,14 +438,15 @@ def exit_probabilities(problem: SequentialProblem, nodes: int = DEFAULT_NODES) -
 def _summing_to_one(accept: np.ndarray, reject: np.ndarray, tables=()) -> ExitProbabilities:
     """The exit probabilities with the final stage scaled so that all stages sum to one."""
     K = accept.size
-    last = accept[K - 1] + reject[K - 1]
+    a, r = accept.tolist(), reject.tolist()
+    last = a[-1] + r[-1]
     if last > 0.0:
         remaining = 1.0 - float(np.sum(accept[: K - 1] + reject[: K - 1]))
         # zero when the earlier stages alone already reach one
         scale = max(remaining, 0.0) / last
-        accept[K - 1] *= scale
-        reject[K - 1] *= scale
-    return ExitProbabilities(tuple(accept), tuple(reject), tables)
+        a[-1] *= scale
+        r[-1] *= scale
+    return ExitProbabilities(tuple(a), tuple(r), tables)
 
 
 class _Tilt:
@@ -463,10 +458,11 @@ class _Tilt:
     density reweighted to the drift.
 
     The tilt reweights only the nodes of the null windows, mean +/- 8 at zero
-    drift clipped to (f_k, e_k]. Where a bound beyond 8 lets the drifted
-    density reach past them, the missed mass is bounded by its normal tail;
-    above 1e-14 a call returns None, so that the caller runs the recursion at
-    that drift instead. Without one record per interim every call returns None.
+    drift clipped to (f_k, e_k], and the 4 support nodes past each window's
+    top. Where a bound beyond 8 lets the drifted density reach past them, the
+    missed mass is bounded by its normal tail; above 1e-14 a call returns
+    None, so that the caller runs the recursion at that drift instead.
+    Without one record per interim every call returns None.
     """
 
     def __init__(self, tables, info, efficacy, futility):
