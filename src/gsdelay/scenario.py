@@ -104,13 +104,12 @@ class Scenario:
 
     ``designs`` maps each grid point (K, spacing label) to its DesignSpec, K
     outer and spacing inner; with an explicit rho the one label is "rho".
+    ``stages`` and ``spacings`` are read off its keys.
     ``models`` holds one RecruitmentModel per ramp fraction (none without a
     [recruitment] section). ``parameters`` is the ``# key = value`` echo a
     sweep writes above its table.
     """
 
-    stages: tuple[int, ...]
-    spacings: tuple[str, ...]
     designs: dict[tuple[int, str], DesignSpec]
     models: tuple[RecruitmentModel, ...]
     delays: tuple[float, ...]
@@ -121,6 +120,16 @@ class Scenario:
     source: str = "<scenario>"
     # the line the accrual-rate rule reports on: l (mixed) or t_max
     rate_line: int | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def stages(self) -> tuple[int, ...]:
+        """The stage counts of the grid, in the order given."""
+        return tuple(dict.fromkeys(k for k, _ in self.designs))
+
+    @property
+    def spacings(self) -> tuple[str, ...]:
+        """The spacing labels of the grid, in the order given."""
+        return tuple(dict.fromkeys(label for _, label in self.designs))
 
     @property
     def t_max(self) -> float | None:
@@ -364,8 +373,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     if models and models[0].pattern == "mixed":
         parameters["l"] = " ".join(repr(model.ramp_fraction) for model in models)
     return Scenario(
-        stages=stages,
-        spacings=spacings,
         designs=designs,
         models=models,
         delays=delays,

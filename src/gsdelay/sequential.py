@@ -65,7 +65,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError
@@ -263,6 +262,8 @@ def _convolve_valid(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     """np.convolve(a, q, "valid") for len(q) >= len(a), by FFT when that is cheaper."""
     if a.size * (q.size - a.size + 1) <= _FFT_PRODUCTS:
         return np.convolve(a, q, mode="valid")
+    from scipy.fft import irfft, next_fast_len, rfft  # on first use: only large lattices load it
+
     n = next_fast_len(a.size + q.size - 1, real=True)
     return irfft(rfft(a, n) * rfft(q, n), n)[a.size - 1 : q.size]
 

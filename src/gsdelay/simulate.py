@@ -6,16 +6,21 @@ the quadrature recursion, so the two can validate each other. Replicates are
 generated in fixed-size blocks with per-block substreams spawned from the
 seed. Each block tallies its paths by exit stage, the first k with Z_k > e_k
 or Z_k <= f_k (f_K = e_K, so every path stops by stage K), and counts the
-rejections among them. The tally runs one stage at a time: the stage's
-column of the block's normals is scaled into a contiguous row, added to a
-running score and divided by sqrt(I_k) into one reused z buffer, and the
-crossings are counted among the paths a running mask still holds, then
-cleared from it. These are the float operations of a per-path replay, in its
-order, so the counts are bit-identical to it. A trial's sample size and
-duration depend only on its exit stage, so the two count vectors are
-sufficient: every estimate and standard error follows from their sums. The
-blocks' counts are summed in block order, so estimates are bit-identical for
-a given seed regardless of how many worker threads are used.
+rejections among them. A block's normals are drawn in row chunks of
+_CHUNK paths into one reused (chunk, K) buffer; drawing a C-order (size, K)
+array in consecutive row chunks gives the same stream, so each normal
+belongs to the same path whatever the chunk size, and a thread's working
+memory is O(chunk * K), not O(block * K). Each chunk is tallied one stage
+at a time: the stage's column of the chunk's normals is scaled into a
+contiguous row, added to a running score and divided by sqrt(I_k) into one
+reused z buffer, and the crossings are counted among the paths a running
+mask still holds, then cleared from it. These are the float operations of a
+per-path replay, in its order, so the counts are bit-identical to it. A
+trial's sample size and duration depend only on its exit stage, so the two
+count vectors are sufficient: every estimate and standard error follows
+from their sums. The blocks' counts are summed in block order, so estimates
+are bit-identical for a given seed regardless of how many worker threads
+are used.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .recruitment import pipeline_counts
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
 _BLOCK_SIZE = 1 << 17
+_CHUNK = 1 << 14  # paths drawn and tallied at a time within a block
 
 
 @dataclass(frozen=True)
@@ -87,30 +93,42 @@ class SimResult:
 def _tally(seed_seq, size: int, info, e, f, mu: float):
     """Paths of one block stopping at each stage, and those of them that reject.
 
-    The normals are drawn as one (size, K) array, so the stream and the
-    path each normal belongs to do not depend on how the block is tallied.
+    The normals are drawn chunk by chunk into one reused buffer, in the
+    order of one (size, K) array, so the stream and the path each normal
+    belongs to do not depend on the chunk size.
     """
     rng = np.random.default_rng(seed_seq)
     K = info.size
     d_info = np.diff(np.concatenate(([0.0], info)))
     sd, drift, sqrt_info = np.sqrt(d_info), mu * d_info, np.sqrt(info)
-    normals = rng.standard_normal((size, K))
-    score, step, z = np.zeros(size), np.empty(size), np.empty(size)
-    running, hit = np.ones(size, dtype=bool), np.empty(size, dtype=bool)
+    rows = min(size, _CHUNK)
+    normals = np.empty((rows, K))
+    score, step, z = np.empty(rows), np.empty(rows), np.empty(rows)
+    running, hit = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     stops, rejects = np.zeros(K, dtype=np.intp), np.zeros(K, dtype=np.intp)
-    for k in range(K):
-        np.multiply(normals[:, k], sd[k], out=step)
-        step += drift[k]
-        score += step
-        np.divide(score, sqrt_info[k], out=z)
-        np.greater(z, e[k], out=hit)
-        hit &= running
-        rejects[k] = np.count_nonzero(hit)
-        running ^= hit
-        np.less_equal(z, f[k], out=hit)
-        hit &= running
-        stops[k] = rejects[k] + np.count_nonzero(hit)
-        running ^= hit
+    for start in range(0, size, rows):
+        if size - start < rows:  # the last chunk is short: tally views of the buffers
+            rows = size - start
+            normals, score, step, z, running, hit = (
+                a[:rows] for a in (normals, score, step, z, running, hit)
+            )
+        rng.standard_normal(out=normals)
+        score.fill(0.0)
+        running.fill(True)
+        for k in range(K):
+            np.multiply(normals[:, k], sd[k], out=step)
+            step += drift[k]
+            score += step
+            np.divide(score, sqrt_info[k], out=z)
+            np.greater(z, e[k], out=hit)
+            hit &= running
+            crossed = np.count_nonzero(hit)
+            rejects[k] += crossed
+            running ^= hit
+            np.less_equal(z, f[k], out=hit)
+            hit &= running
+            stops[k] += crossed + np.count_nonzero(hit)
+            running ^= hit
     return stops, rejects
 
 

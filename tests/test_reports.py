@@ -329,6 +329,10 @@ class TestVectorisedSweep:
         calls.clear()
         case_study_table()
         assert calls == [1] * 12
+        # the reference tables: one call per design of each, over its rows' models
+        calls.clear()
+        verify_all()
+        assert calls == [1] * 8 + [4] * 3 + [1] * 7 + [1] * 12
 
 
 class TestColumnFormat:

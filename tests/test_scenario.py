@@ -48,6 +48,12 @@ class TestParsing:
         assert sc.delays == (3.0, 6.0, 9.0, 12.0, 18.0, 24.0)
         assert sc.out_format == "csv"
 
+    def test_grid_axes_are_read_off_the_designs(self):
+        sc = parse_scenario(FULL.replace("k = 2 3 4 5", "k = 4 3\nspacing = late equal early"))
+        assert sc.stages == (4, 3)
+        assert sc.spacings == ("late", "equal", "early")
+        assert list(sc.designs) == [(k, s) for k in (4, 3) for s in ("late", "equal", "early")]
+
     def test_fractions_and_comments(self):
         sc = parse_scenario(
             "[design]\n"

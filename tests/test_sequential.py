@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,3 +529,13 @@ class TestScoreLattice:
         by_fft = exit_probabilities(problem)
         monkeypatch.setattr(sequential, "_FFT_PRODUCTS", math.inf)
         assert max_abs_error(exit_probabilities(problem), by_fft) <= 1e-14
+
+    def test_importing_the_package_leaves_scipy_fft_unloaded(self):
+        # only lattices past _FFT_PRODUCTS need it, so the import is deferred to them
+        src = Path(sequential.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gsdelay, gsdelay.reports; print('scipy.fft' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert result.stdout == "False\n"

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,40 @@ def test_tally_matches_the_path_major_oracle(K, family, style, mu, size, seed, p
     np.testing.assert_array_equal(stops, want_stops)
     np.testing.assert_array_equal(rejects, want_rejects)
     assert stops.sum() == size
+
+
+@pytest.mark.parametrize("pick", [None, 7])
+@pytest.mark.parametrize("K", range(1, 9))
+@pytest.mark.parametrize(
+    "size", [1, sim._CHUNK - 1, sim._CHUNK, sim._CHUNK + 1, 2 * sim._CHUNK - 1, 3 * sim._CHUNK + 7]
+)
+def test_chunked_tally_matches_the_path_major_oracle(size, K, pick):
+    """Blocks that end inside, at and just past a chunk give the whole-block counts."""
+    design = _oracle_design(K, WangTsiatis(0.5), FutilityStyle.BINDING_ZERO)
+    info, mu, seed = np.asarray(design.info_levels), 0.4, SEED + size
+    z = _path_major_z(np.random.SeedSequence(seed), size, info, mu)
+    if pick is None:
+        e, f = np.asarray(design.boundaries.efficacy), np.asarray(design.boundaries.futility)
+    else:
+        e, f = _bounds_on_paths(z, pick)
+    stops, rejects = sim._tally(np.random.SeedSequence(seed), size, info, e, f, mu)
+    want_stops, want_rejects = _path_major_counts(z, e, f)
+    np.testing.assert_array_equal(stops, want_stops)
+    np.testing.assert_array_equal(rejects, want_rejects)
+
+
+def test_a_full_block_is_tallied_in_chunk_sized_memory():
+    """A K = 8 block peaks near one (chunk, K) buffer, not a (block, K) one (11.25 MB)."""
+    design = _oracle_design(8, WangTsiatis(0.5), FutilityStyle.BINDING_ZERO)
+    args = (np.asarray(design.info_levels), np.asarray(design.boundaries.efficacy),
+            np.asarray(design.boundaries.futility), 0.4)
+    tracemalloc.start()
+    try:
+        sim._tally(np.random.SeedSequence(SEED), sim._BLOCK_SIZE, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_three_blocks_independent_of_thread_count():
