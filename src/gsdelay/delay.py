@@ -11,10 +11,11 @@ Everything here is computed by ``_delay_columns`` for one design under a
 tuple of recruitment models and a whole grid of delays in one numpy pass:
 the stop probabilities depend only on the design, the accrual curves and
 stage recruit times on the (design, model) pair, and each metric is one
-array operation over a (model, delay) block. A sweep, and each reference
-table ``verify_all`` checks, makes one such pass per design; the public
-functions are its one-model, one-delay views. Each entry is bit for bit
-what the same formulas give evaluated one model and one delay at a time:
+array operation over a (model, delay) block. A sweep makes one such pass
+per design, and ``verify_all`` reads each reference table off the same
+sweep grid; the public functions are its one-model, one-delay views. Each
+entry is bit for bit what the same formulas give evaluated one model and
+one delay at a time:
 the expected sample size is ``np.vecdot``, which sums each row in the same
 order as ``np.dot`` does, and the expected time sums its stages in order.
 """
@@ -166,23 +167,18 @@ def expected_time(
     return float(cols.et[0, 0]), float(cols.t_single[0]), float(cols.et_single[0, 0])
 
 
-def _assessment(design: GroupSequentialDesign, cols: _DelayColumns, p: int, j: int) -> DelayAssessment:
-    """The assessment under model p at delay j of one design's delay columns."""
-    return DelayAssessment(
-        profile=PipelineProfile(
-            tuple(cols.pipeline[p, j].tolist()), tuple(cols.recruit_times[p].tolist())
-        ),
-        ess_delay=float(cols.ess_delay[p, j]),
-        eg=design.eg,
-        eg_delay=float(cols.eg_delay[p, j]),
-        el=None if cols.el is None else float(cols.el[p, j]),
-        et=float(cols.et[p, j]),
-        t_single=float(cols.t_single[p]),
-        et_single=float(cols.et_single[p, j]),
-    )
-
-
 def assess_delay(design: GroupSequentialDesign, query: DelayQuery) -> DelayAssessment:
     """Full delay assessment of a built design."""
     cols = _delay_columns(design, (query.model,), (query.m,), query.m_interim)
-    return _assessment(design, cols, 0, 0)
+    return DelayAssessment(
+        profile=PipelineProfile(
+            tuple(cols.pipeline[0, 0].tolist()), tuple(cols.recruit_times[0].tolist())
+        ),
+        ess_delay=float(cols.ess_delay[0, 0]),
+        eg=design.eg,
+        eg_delay=float(cols.eg_delay[0, 0]),
+        el=None if cols.el is None else float(cols.el[0, 0]),
+        et=float(cols.et[0, 0]),
+        t_single=float(cols.t_single[0]),
+        et_single=float(cols.et_single[0, 0]),
+    )

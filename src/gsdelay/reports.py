@@ -13,8 +13,10 @@ scenario; the JSON format mirrors the CSV one object per row. Output is fully
 deterministic for a given scenario.
 
 Bundled reference tables (``reference/*.csv``) hold the expected operating
-characteristics for a battery of designs; ``verify_all`` walks one list of
-them, recomputes every cell and compares at per-table tolerances.
+characteristics for a battery of designs. ``verify_all`` computes each as a
+grid, the sweep of its bundled scenarios (``reference/*.ini``) or the case
+study's designs, matches every row to one cell and compares at per-table
+tolerances.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .boundaries import FutilityStyle, WangTsiatis
-from .delay import _assessment, _delay_columns
-from .design import DesignSpec, GroupSequentialDesign, build_design, round_for_report, single_stage_n
+from .delay import _delay_columns
+from .design import DesignSpec, build_design, round_for_report, single_stage_n
 from .errors import ScenarioError
 from .recruitment import RecruitmentModel
-from .scenario import Scenario, spacing_for
+from .scenario import Scenario, parse_scenario
 
 __all__ = [
     "SWEEP_COLUMNS",
@@ -197,16 +199,19 @@ def case_study_tau() -> float:
     return math.sqrt(base / _CASE_N_SINGLE)
 
 
-def _case_design(shape: float, num_stages: int) -> GroupSequentialDesign:
-    spec = DesignSpec(
-        alpha=_CASE_ALPHA,
-        beta=_CASE_BETA,
-        tau=case_study_tau(),
-        num_stages=num_stages,
-        family=WangTsiatis(shape),
-        futility=FutilityStyle.NONE,
-    )
-    return _build_cached(spec)
+def _case_designs():
+    """The case study's twelve designs, keyed by (boundary name, K), in table order."""
+    for name, shape in _CASE_FAMILIES:
+        for num_stages in (2, 3, 4, 5):
+            spec = DesignSpec(
+                alpha=_CASE_ALPHA,
+                beta=_CASE_BETA,
+                tau=case_study_tau(),
+                num_stages=num_stages,
+                family=WangTsiatis(shape),
+                futility=FutilityStyle.NONE,
+            )
+            yield (name, num_stages), _build_cached(spec)
 
 
 def case_study_table() -> ResultTable:
@@ -218,14 +223,12 @@ def case_study_table() -> ResultTable:
     """
     rows = []
     model = RecruitmentModel.uniform(_CASE_T_MAX)
-    for name, shape in _CASE_FAMILIES:
-        for num_stages in (2, 3, 4, 5):
-            design = _case_design(shape, num_stages)
-            cells = _block(design, (model,), (_CASE_M,), 0.0)
-            stage_cells = [str(n) for n in round_for_report(design)]
-            stage_cells += [""] * (MAX_TABLE_STAGES - num_stages)
-            cells.update({f"n_{k + 1}": repeat(n) for k, n in enumerate(stage_cells)}, boundary=[name])
-            rows += zip(*(cells[c] for c in CASE_STUDY_COLUMNS))
+    for (name, num_stages), design in _case_designs():
+        cells = _block(design, (model,), (_CASE_M,), 0.0)
+        stage_cells = [str(n) for n in round_for_report(design)]
+        stage_cells += [""] * (MAX_TABLE_STAGES - num_stages)
+        cells.update({f"n_{k + 1}": repeat(n) for k, n in enumerate(stage_cells)}, boundary=[name])
+        rows += zip(*(cells[c] for c in CASE_STUDY_COLUMNS))
     parameters = {
         "alpha": repr(_CASE_ALPHA),
         "beta": repr(_CASE_BETA),
@@ -279,9 +282,9 @@ class TableReport:
         )
 
 
-def _read_reference(name: str) -> list[dict[str, str]]:
-    text = resources.files("gsdelay.reference").joinpath(name).read_text(encoding="utf-8")
-    return list(csv.DictReader(line for line in text.splitlines() if line.strip() and line[0] != "#"))
+def _read_reference(name: str) -> str:
+    """The text of a bundled reference file: a table or a scenario."""
+    return resources.files("gsdelay.reference").joinpath(name).read_text(encoding="utf-8")
 
 
 def _check(table, row_key, column, expected, computed, tol, relative=False) -> CellCheck:
@@ -289,45 +292,40 @@ def _check(table, row_key, column, expected, computed, tol, relative=False) -> C
     return CellCheck(table, row_key, column, expected, computed, label, abs(computed - expected) <= bound)
 
 
-def _table_design(row: dict[str, str]) -> GroupSequentialDesign:
-    """The Wang-Tsiatis(0.25) design behind a row of the delay tables."""
-    num_stages = int(row["K"])
-    spec = DesignSpec(
-        alpha=0.05,
-        beta=0.1,
-        tau=0.5,
-        num_stages=num_stages,
-        family=WangTsiatis(0.25),
-        futility=FutilityStyle.BINDING_ZERO,
-        info_fractions=spacing_for(num_stages, row.get("spacing", "equal")),
-    )
-    return _build_cached(spec)
-
-
-def _case_row_design(row: dict[str, str]) -> GroupSequentialDesign:
-    return _case_design(dict(_CASE_FAMILIES)[row["boundary"]], int(row["K"]))
-
-
-# (table name, reference file, recruitment model for a row, design for a row),
-# in report order
+# (table name, reference file, the scenarios of its grid), in report order;
+# the case study's grid is the designs of case_study_table()
 _REFERENCE_TABLES = (
-    ("uniform-recruitment", "uniform_equal.csv", lambda row: RecruitmentModel.uniform(24.0), _table_design),
-    ("linear-recruitment", "linear_equal.csv", lambda row: RecruitmentModel.linear(24.0), _table_design),
-    (
-        "mixed-recruitment",
-        "mixed.csv",
-        lambda row: RecruitmentModel.mixed(24.0, float(row["l"])),
-        _table_design,
-    ),
-    ("unequal-spacing", "unequal.csv", lambda row: RecruitmentModel.uniform(24.0), _table_design),
-    ("case-study", "case_study.csv", lambda row: RecruitmentModel.uniform(_CASE_T_MAX), _case_row_design),
+    ("uniform-recruitment", "uniform_equal.csv", ("uniform_equal.ini",)),
+    ("linear-recruitment", "linear_equal.csv", ("linear_equal.ini",)),
+    ("mixed-recruitment", "mixed.csv", ("mixed.ini",)),
+    ("unequal-spacing", "unequal.csv", ("unequal_k3.ini", "unequal_k4.ini")),
+    ("case-study", "case_study.csv", ()),
 )
 
 
-def _row_checks(table: str, row: dict[str, str], design, assessment) -> list[CellCheck]:
-    """Compare the cells one reference row holds; its columns say which, and how."""
+def _sweep_cells(scenario: Scenario):
+    """Each cell of a sweep grid by (K, spacing, l, m): its design, delay columns and their index."""
+    models = scenario.recruitment_models()
+    for (num_stages, spacing), spec in scenario.designs.items():
+        design = _build_cached(spec)
+        cols = _delay_columns(design, models, scenario.delays, scenario.m_interim)
+        for p, model in enumerate(models):
+            for j, m in enumerate(scenario.delays):
+                yield (num_stages, spacing, model.ramp_fraction, m), (design, cols, (p, j))
+
+
+def _row_key(row: dict[str, str]) -> tuple:
+    """The grid cell a reference or sweep row holds: (boundary, K) in the case study."""
+    if "boundary" in row:
+        return row["boundary"], int(row["K"])
+    # uniform and linear models both carry ramp fraction 1
+    return int(row["K"]), row.get("spacing") or "equal", float(row.get("l") or 1.0), float(row["m"])
+
+
+def _row_checks(table: str, row: dict[str, str], design, cols, at) -> list[CellCheck]:
+    """Compare the cells one reference row holds, at index at of the delay columns."""
     K = design.num_stages
-    el = assessment.el
+    el = float(cols.el[at])
     if "boundary" in row:
         # the case study: whole-participant stage sizes and the loss
         key = f"{row['boundary']} K={K}"
@@ -339,8 +337,8 @@ def _row_checks(table: str, row: dict[str, str], design, assessment) -> list[Cel
         key += f" l={row['l']}" if "l" in row else ""
         if "n_max" in row:
             cells = [("n_max", design.max_n, 0.3), ("ess", design.ess, 0.3)]
-            cells.append(("ess_delay", assessment.ess_delay, 0.3))
-            cells += [(f"pipeline_{k + 1}", p, 0.3) for k, p in enumerate(assessment.profile.pipeline)]
+            cells.append(("ess_delay", float(cols.ess_delay[at]), 0.3))
+            cells += [(f"pipeline_{k + 1}", p, 0.3) for k, p in enumerate(cols.pipeline[at].tolist())]
             cells.append(("el", el, 1.0))
         elif abs(float(row["ess_delay"]) - design.max_n) <= 0.1:
             # efficiency loss only; a row whose delayed size saturates at the
@@ -355,29 +353,27 @@ def _row_checks(table: str, row: dict[str, str], design, assessment) -> list[Cel
 def verify_all() -> list[TableReport]:
     """Recompute every bundled reference table and compare cell by cell.
 
-    Each design behind a table gets one delay pass, over the distinct
-    recruitment models and delays of its rows.
+    Each row must hold one cell of its table's grid, and each cell have a
+    row; either miss is a ScenarioError naming the file and the cell.
     """
+    case_model = RecruitmentModel.uniform(_CASE_T_MAX)
     reports = []
-    for name, filename, model_for_row, design_for_row in _REFERENCE_TABLES:
-        rows = _read_reference(filename)
-        designs = [design_for_row(row) for row in rows]
-        models = [model_for_row(row) for row in rows]
-        # the case-study table has no m column: its one delay is six months
-        ms = [float(row.get("m", _CASE_M)) for row in rows]
-        assessments = [None] * len(rows)
-        for design in {id(d): d for d in designs}.values():
-            indices = [i for i, d in enumerate(designs) if d is design]
-            design_models = list(dict.fromkeys(models[i] for i in indices))
-            design_ms = list(dict.fromkeys(ms[i] for i in indices))
-            cols = _delay_columns(design, tuple(design_models), design_ms, 0.0)
-            for i in indices:
-                p, j = design_models.index(models[i]), design_ms.index(ms[i])
-                assessments[i] = _assessment(design, cols, p, j)
-        checks = [
-            check
-            for row, design, assessment in zip(rows, designs, assessments)
-            for check in _row_checks(name, row, design, assessment)
-        ]
+    for name, filename, scenario_files in _REFERENCE_TABLES:
+        scenarios = [parse_scenario(_read_reference(f), source=f) for f in scenario_files]
+        cells = dict(cell for scenario in scenarios for cell in _sweep_cells(scenario))
+        if not scenarios:
+            cells = {
+                key: (design, _delay_columns(design, (case_model,), (_CASE_M,), 0.0), (0, 0))
+                for key, design in _case_designs()
+            }
+        text = _read_reference(filename).splitlines()
+        checks = []
+        for row in csv.DictReader(line for line in text if line.strip() and line[0] != "#"):
+            key = _row_key(row)
+            if key not in cells:
+                raise ScenarioError(f"{filename}: row {key} is not a cell of its grid, or repeats one")
+            checks += _row_checks(name, row, *cells.pop(key))
+        if cells:
+            raise ScenarioError(f"{filename}: no row for the grid cell {next(iter(cells))}")
         reports.append(TableReport(name=name, checks=checks))
     return reports

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from gsdelay.reports import _table_design
+from gsdelay.reports import _build_cached, _read_reference
+from gsdelay.scenario import parse_scenario, spacing_for
 from gsdelay.sequential import SequentialProblem, exit_probabilities
 
 
@@ -17,13 +20,16 @@ def exit_at(design, mu):
 
 @pytest.fixture(scope="session")
 def table_design():
-    """Cached builder for the standard delay-study designs.
+    """Cached builder for the delay-study designs of the bundled reference scenarios.
 
-    (alpha 0.05, beta 0.1, tau 0.5, WT shape 0.25, binding futility 0.)
+    The design is uniform_equal.ini's, at any stage count and named spacing;
+    on the reference grids that is each scenario's own ``design_spec(K, spacing)``.
     """
+    spec = parse_scenario(_read_reference("uniform_equal.ini")).design_spec(2, "equal")
 
     def build(num_stages: int, spacing: str = "equal"):
-        return _table_design({"K": num_stages, "spacing": spacing})
+        fractions = spacing_for(num_stages, spacing)
+        return _build_cached(replace(spec, num_stages=num_stages, info_fractions=fractions))
 
     return build
 

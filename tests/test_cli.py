@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsdelay
+from gsdelay import reports
 from gsdelay.cli import main
+from gsdelay.scenario import load_scenario
 
 DESIGN_SCENARIO = """\
 [design]
@@ -229,6 +232,39 @@ class TestVerifyTablesCommand:
         assert output.count("FAIL K=") == 5
         report = out.read_text(encoding="utf-8")
         assert report.count("\n") == 798 + 1  # header + one line per cell
+
+
+REFERENCE = Path(gsdelay.__file__).parent / "reference"
+
+
+def _data_rows(text):
+    return list(csv.DictReader(line for line in text.splitlines() if line.strip() and line[0] != "#"))
+
+
+@pytest.mark.parametrize("ini", sorted(path.name for path in REFERENCE.glob("*.ini")))
+def test_sweeping_a_reference_scenario_gives_the_verified_numbers(capsys, ini):
+    """A table re-run the way users run it prints the values verify-tables checks."""
+    name, filename, _ = next(table for table in reports._REFERENCE_TABLES if ini in table[2])
+    computed = {}
+    for check in next(report for report in reports.verify_all() if report.name == name).checks:
+        computed.setdefault(check.row, {})[check.column] = check.computed
+    # verify_all checks the rows in file order, each under its own label
+    rows = _data_rows((REFERENCE / filename).read_text(encoding="utf-8"))
+    assert len(rows) == len(computed)
+    by_cell = {reports._row_key(row): cells for row, cells in zip(rows, computed.values())}
+
+    assert main(["sweep", "--scenario", str(REFERENCE / ini)]) == 0
+    swept = _data_rows(capsys.readouterr().out)
+    stages = load_scenario(REFERENCE / ini).stages
+    assert len(swept) == sum(int(row["K"]) in stages for row in rows)
+    compared = 0
+    for row in swept:
+        cells = by_cell[reports._row_key(row)]
+        for column in ("n_max", "el"):
+            if column in cells:
+                assert row[column] == f"{cells[column]:.2f}", (row, column)
+                compared += 1
+    assert compared >= len(swept)
 
 
 class TestBadInputsExitCleanly:

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import re
+import tomllib
 import warnings
+from collections import Counter
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdelay import reports
+from gsdelay.cli import main
 from gsdelay.reports import (
     CASE_STUDY_COLUMNS,
     SWEEP_COLUMNS,
@@ -429,6 +434,74 @@ class TestVerify:
         assert 0.0 < largest < 0.03
         assert report.summary().endswith(f"[ok], max dev {largest:.2%}")
 
+
+OFF_GRID = " is not a cell of its grid, or repeats one"
+
+
+class TestReferenceGrids:
+    """Each delay table is the sweep grid of its bundled scenarios, one row per cell."""
+
+    @staticmethod
+    def grid(scenario_files):
+        scenarios = [parse_scenario(reports._read_reference(name), name) for name in scenario_files]
+        return [
+            (K, spacing, model.ramp_fraction, m)
+            for scenario in scenarios
+            for K, spacing in scenario.designs
+            for model in scenario.models
+            for m in scenario.delays
+        ]
+
+    def test_package_data_ships_every_reference_file(self):
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        globs = pyproject["tool"]["setuptools"]["package-data"]["gsdelay"]
+        package = Path(reports.__file__).parent
+        files = [p.relative_to(package).as_posix() for p in (package / "reference").rglob("*") if p.is_file()]
+        assert any(f.endswith(".ini") for f in files)
+        assert [f for f in files if not any(fnmatch(f, glob) for glob in globs)] == []
+
+    @pytest.mark.parametrize("table", [t for t in reports._REFERENCE_TABLES if t[2]], ids=lambda t: t[0])
+    def test_rows_and_grid_cells_match_one_to_one(self, table):
+        _, filename, scenario_files = table
+        text = reports._read_reference(filename).splitlines()
+        rows = csv.DictReader(line for line in text if line.strip() and line[0] != "#")
+        rows, cells = Counter(map(reports._row_key, rows)), Counter(self.grid(scenario_files))
+        assert max(rows.values()) == max(cells.values()) == 1
+        assert rows == cells
+
+    def test_table_design_is_each_scenarios_design(self, table_design):
+        for _, _, scenario_files in reports._REFERENCE_TABLES:
+            for name in scenario_files:
+                scenario = parse_scenario(reports._read_reference(name), name)
+                for K, spacing in scenario.designs:
+                    design = reports._build_cached(scenario.design_spec(K, spacing))
+                    assert table_design(K, spacing) is design
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[1:], "no row for the grid cell (2, 'equal', 1.0, 3.0)"),
+        (lambda data: data[:-1], "no row for the grid cell (5, 'equal', 1.0, 24.0)"),
+        # a repeated row, a delay and a stage count off the grid
+        (lambda data: data + data[:1], "row (2, 'equal', 1.0, 3.0)" + OFF_GRID),
+        (lambda data: data + ["2,4" + data[0][3:]], "row (2, 'equal', 1.0, 4.0)" + OFF_GRID),
+        (lambda data: data + ["6" + data[0][1:]], "row (6, 'equal', 1.0, 3.0)" + OFF_GRID),
+    ])
+    def test_a_table_off_its_grid_is_refused(self, monkeypatch, capsys, edit, message):
+        read = reports._read_reference
+
+        def patched(name):
+            """uniform_equal.csv with its data lines edited."""
+            if name != "uniform_equal.csv":
+                return read(name)
+            lines = read(name).splitlines()
+            start = next(i for i, line in enumerate(lines) if line[0].isdigit())
+            return "\n".join(lines[:start] + edit(lines[start:])) + "\n"
+
+        monkeypatch.setattr(reports, "_read_reference", patched)
+        with pytest.raises(ScenarioError, match=f"^uniform_equal\\.csv: {re.escape(message)}$"):
+            verify_all()
+        # the command exits 2 with that one line and no traceback
+        assert main(["verify-tables"]) == 2
+        assert capsys.readouterr() == ("", f"error: uniform_equal.csv: {message}\n")
 
 
 def test_sweep_pool_is_capped_at_cpu_count(monkeypatch, recording_pool, small_table):
