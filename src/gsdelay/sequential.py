@@ -26,6 +26,15 @@ Gaussian kernel depends only on i - j, so one advance costs one vector of
 n_prev + n_new - 1 exponentials and one 1-D convolution (by FFT on large
 lattices).
 
+A stepper sizes its buffers once, from its widest window: the steps i * h,
+which give each window's nodes and each kernel's offsets, and the trapezoid
+weights with the Gregory corrections at the lower end. An advance copies
+the weights it needs and adds one 11-node tail, the Gregory corrections at
+the top and no trapezoid weight past it, and the top stencil, whose weights
+are a degree-8 polynomial in the remainder; it builds the kernel in place.
+So an advance makes a fixed, small number of numpy calls, which at a few
+hundred nodes cost more than the arithmetic.
+
 The recursion is one stage stepper. Each advance records the continuing
 sub-density with the next increment's scales, from which ``_crossing`` gives
 the chance of crossing any critical value at the next analysis in O(n).
@@ -98,10 +107,33 @@ _FFT_PRODUCTS = 4_000_000
 # positive; the remainder stencil's are not (down to -0.079 h).
 _GREGORY_END = np.array([36799, 176648, 54851, 177984, 89437, 130936, 119585]) / 120960.0
 
-# Antiderivatives of the degree-7 Lagrange basis on the 8 stencil nodes
-# -3.5, ..., 3.5: row p - 1 holds the coefficients of x^p, p = 1..8.
+# What a window's top adds to the trapezoid weights, in units of h: the
+# Gregory corrections at its last 7 nodes, then none on the 4 support nodes.
+_TOP_CORRECTIONS = np.concatenate(((_GREGORY_END - 1.0)[::-1], np.full(4, -1.0)))
+
 _POWERS = np.arange(1.0, 9.0)
-_STENCIL = np.linalg.inv(np.vander(np.arange(8) - 3.5, increasing=True)) / _POWERS[:, None]
+
+
+def _antiderivatives(nodes: np.ndarray) -> np.ndarray:
+    """Antiderivatives of the degree-7 Lagrange basis on 8 nodes, one column per node.
+
+    Row p - 1 holds the coefficients of x^p, p = 1..8. On nodes that are
+    multiples of 1/2 every product below is exact in binary, so each entry is
+    rounded once.
+    """
+    table = np.empty((8, 8))
+    for j in range(8):
+        others = np.delete(nodes, j)
+        table[:, j] = np.poly(others)[::-1] / (np.prod(nodes[j] - others) * _POWERS)
+    return table
+
+
+# The stencil on the nodes -3.5, ..., 3.5.
+_STENCIL = _antiderivatives(np.arange(8) - 3.5)
+
+# The same stencil about -0.5, on the nodes -3, ..., 4: its weights over
+# [-0.5, -0.5 + delta] are the polynomial delta**_POWERS @ _TOP_STENCIL.
+_TOP_STENCIL = _antiderivatives(np.arange(8) - 3.0)
 
 # The smallest and largest doubles strictly inside (0, 1).
 _SMALLEST_P = math.ulp(0.0)
@@ -253,9 +285,11 @@ class ExitProbabilities:
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _gauss(u: np.ndarray) -> np.ndarray:
-    """exp(-u^2 / 2), the unscaled standard normal density."""
-    return np.exp(-0.5 * u * u)
+def _gauss(u: np.ndarray, sd: float) -> np.ndarray:
+    """exp(-u^2 / (2 sd^2)), the unscaled N(0, sd^2) density, computed in u's buffer."""
+    np.square(u, out=u)
+    u *= -0.5 / (sd * sd)
+    return np.exp(u, out=u)
 
 
 def _convolve_valid(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -312,22 +346,38 @@ class _StageStepper:
     """
 
     def __init__(self, info: np.ndarray, theta: float, nodes: int):
-        self._info = info
+        self._info = info = info.tolist()
         self._theta = theta
         if not nodes >= 2:
             raise ConfigError(f"nodes = {nodes} must be at least 2")
-        smallest = float(np.diff(info).min(initial=info[0]))
-        self._h = 16.0 / (nodes - 1) * math.sqrt(smallest)
-        self._ends = (_GREGORY_END - 1.0) * self._h
-        if len(info) > 1:
-            # the widest continuation interval: mean +/- 8 at the last interim
-            widest = 2.0 * _TAIL_WIDTH * math.sqrt(info[-2]) / self._h
-            if not widest <= _MAX_LATTICE:
-                raise ConfigError(
-                    f"the smallest information increment, {smallest / info[-1]:.3g} of the "
-                    f"final information, needs {widest:.3g} lattice points per stage, "
-                    f"above the limit of {_MAX_LATTICE}"
-                )
+        smallest = min(b - a for a, b in zip([0.0, *info], info))
+        h = self._h = 16.0 / (nodes - 1) * math.sqrt(smallest)
+        # the widest continuation interval, mean +/- 8 at an interim, its ends
+        # rounded as ``advance`` rounds them; an infinite mean leaves no window
+        # and a NaN width, which max never picks over a number before it
+        widest = 0.0
+        for i in info[:-1]:
+            mean, half = theta * i, _TAIL_WIDTH * math.sqrt(i)
+            widest = max(widest, ((mean + half) - (mean - half)) / h)
+        if not widest <= _MAX_LATTICE:
+            raise ConfigError(
+                f"the smallest information increment, {smallest / info[-1]:.3g} of the "
+                f"final information, needs {widest:.3g} lattice points per stage, "
+                f"above the limit of {_MAX_LATTICE}"
+            )
+        # A window holds at most int(widest) + 1 lattice nodes and 4 support nodes
+        # past its top, or the 8 of the stencil alone, and a kernel spans two
+        # windows. A shorter buffer would truncate the slices below silently.
+        size = max(int(widest) + 5, 8)
+        # i * h: a window's nodes from its lower end, and the kernel's offsets
+        self._steps = np.arange(2.0 * size)
+        self._steps *= h
+        self._tail = _TOP_CORRECTIONS * h
+        # the trapezoid weights with the Gregory corrections at the lower end,
+        # which are the top's in reverse
+        self._head = np.full(size, h)
+        self._head[: _GREGORY_END.size] += self._tail[_GREGORY_END.size - 1 :: -1]
+        self._top = _TOP_STENCIL * h
         self.stages: list[_Interim | None] = []
 
     def above(self, c: float) -> float:
@@ -357,30 +407,28 @@ class _StageStepper:
         n = int(span) + 1
         if n < _GREGORY_END.size:
             # too short for the end corrections: the stencil alone, on lo .. lo + 7h
-            n, start = 4, -3.5
-            w = np.zeros(8)
+            n = 4
+            w = h * _stencil_weights(-3.5, span - 3.5)
         else:
-            start = -0.5
-            w = np.zeros(n + 4)
-            w[:n] = h
-            w[: self._ends.size] += self._ends
-            w[n - self._ends.size : n] += self._ends[::-1]
-        w[n - 4 :] += h * _stencil_weights(start, span + 0.5 - n)
-        s = np.arange(n + 4) * h + lo
+            w = self._head[: n + 4].copy()
+            w[n - _GREGORY_END.size :] += self._tail
+            w[n - 4 :] += (span - (n - 1)) ** _POWERS @ self._top
+        s = lo + self._steps[: n + 4]
         if k == 0:
-            g = _gauss((s - mean) / sqrt_ik) / (sqrt_ik * _SQRT_2PI)
+            w *= _gauss(s - mean, sqrt_ik) / (sqrt_ik * _SQRT_2PI)
         else:
-            g = self._propagate(prev, info[k] - info[k - 1], s)
+            w *= self._propagate(prev, info[k] - info[k - 1], s)
         sd = math.sqrt(info[k + 1] - info[k])
         sqrt_i_sd = math.sqrt(info[k + 1]) / sd
-        self.stages.append(_Interim(s, w * g, s / sd, sqrt_i_sd, sd, info[k] / 2.0))
+        self.stages.append(_Interim(s, w, s / sd, sqrt_i_sd, sd, info[k] / 2.0))
 
     def _propagate(self, prev: _Interim, d_info: float, s: np.ndarray) -> np.ndarray:
         """Density at the new lattice nodes s, from the previous lattice's."""
         # the kernel is a function of i - j alone, offset by the conditional mean
+        n_prev = prev.s.size
         mu = prev.s[0] + self._theta * d_info
-        offsets = np.arange(1 - prev.s.size, s.size) * self._h + (s[0] - mu)
-        return _convolve_valid(prev.wg, _gauss(offsets / prev.sd)) / (prev.sd * _SQRT_2PI)
+        offsets = self._steps[: n_prev + s.size - 1] + (s[0] - mu - (n_prev - 1) * self._h)
+        return _convolve_valid(prev.wg, _gauss(offsets, prev.sd)) / (prev.sd * _SQRT_2PI)
 
 
 def _walk(stages, sqrt_i1: float, efficacy, futility, theta: float, tilt: bool):

@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -460,6 +461,16 @@ class TestScoreLattice:
                 assert abs(w @ nodes**p - exact) <= 1e-13 * scale
             assert np.abs(w - exact_stencil_weights(a, b)).max() <= 1e-13
 
+    @given(delta=st.floats(0.0, 1.0, exclude_max=True))
+    @example(delta=0.0)
+    @example(delta=math.nextafter(1.0, 0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_top_stencil_is_a_polynomial_in_the_remainder(self, delta):
+        # the remainder [-0.5, -0.5 + delta] past the top node, in node spacings
+        w = delta**sequential._POWERS @ sequential._TOP_STENCIL
+        assert np.abs(w - sequential._stencil_weights(-0.5, -0.5 + delta)).max() <= 1e-15
+        assert np.abs(w - exact_stencil_weights(-0.5, -0.5 + delta)).max() <= 1e-15
+
     @pytest.mark.parametrize("gap,n_max", [(1e-3, 174.170432), (1e-4, 173.956455)])
     def test_closely_spaced_analyses_match_a_fine_grid(self, gap, n_max):
         # n_max from the z-grid at 4801 nodes; its 301-node grid gave 174.1681
@@ -517,6 +528,49 @@ class TestScoreLattice:
         stepper.advance(e, f)
         expected = ndtr(e - mean) - ndtr(max(f - mean, -8.0))
         assert stepper.stages[-1].wg.sum() == pytest.approx(expected, rel=1e-12)
+
+    def test_the_widest_admitted_lattice_holds_all_the_mass(self):
+        # an increment that puts just under 200,000 lattice points on each
+        # window, mean +/- 8 with bounds far past it: no trial stops before
+        # stage 3, so the record holds all the mass and Z_3 is normal
+        steps = sequential.DEFAULT_NODES - 1
+        gap = (1.0 + 1e-9) / ((sequential._MAX_LATTICE / steps) ** 2 - 1.0)
+        info, theta = np.array([1.0, 1.0 + gap, 3.0]), 0.7
+        stepper = sequential._StageStepper(info, theta, sequential.DEFAULT_NODES)
+        stepper.advance(1e3, -1e3)
+        stepper.advance(1e3, -1e3)
+        assert stepper.stages[-1].s.size > sequential._MAX_LATTICE
+        assert stepper.stages[-1].wg.sum() == pytest.approx(1.0, abs=1e-13)
+        assert stepper.above(2.0) == pytest.approx(ndtr(theta * math.sqrt(3.0) - 2.0), rel=1e-13)
+
+    @pytest.mark.parametrize("eta", [-1.0, 3.0])
+    def test_drifted_eight_stages_without_futility_match_the_references(self, eta):
+        # unequal spacing and windows at mean +/- 8 that move with the drift
+        rho = np.array([0.1, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0])
+        bounds = build_boundaries(WangTsiatis(0.25), 8, rho, 0.025, FutilityStyle.NONE)
+        probs = direct(rho, bounds, eta)
+        problem = SequentialProblem(tuple(rho), eta, bounds.efficacy, bounds.futility)
+        assert max_abs_error(probs, zgrid_exit_probabilities(problem, 1201)) <= ZGRID_301_WORST_ERROR
+        # below zero the tilt declines: the null window stops at -8
+        got = tilted(rho, bounds, eta)
+        assert (got is None) == (eta < 0.0)
+        if got is not None:
+            assert max_abs_error(got, probs) <= 1e-12
+
+    def test_a_pass_allocates_for_its_own_lattice(self):
+        # the stepper's buffers hold its widest window, about a thousand nodes
+        # here; sized for _MAX_LATTICE they would take about 5 MB
+        rho = np.arange(1, 6) / 5
+        bounds = build_boundaries(WangTsiatis(0.25), 5, rho, 0.025, FutilityStyle.BINDING_ZERO)
+        problem = SequentialProblem(tuple(rho), 0.0, bounds.efficacy, bounds.futility)
+        exit_probabilities(problem)
+        tracemalloc.start()
+        try:
+            exit_probabilities(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     @pytest.mark.parametrize("nodes", [1, 0, math.nan])
     def test_too_few_nodes_rejected(self, nodes):

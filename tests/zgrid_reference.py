@@ -75,8 +75,14 @@ class ZGridStepper:
         if k == 0:
             g = np.exp(-0.5 * (z - mean_k) ** 2) / _SQRT_2PI
         else:
-            u = (z[:, None] * sqrt_ik - self.cond_mean[None, :]) / self.sd
-            g = (np.exp(-0.5 * u * u) * (sqrt_ik / (self.sd * _SQRT_2PI))) @ self.wg
+            # the nodes x nodes kernel, built in one buffer
+            u = np.subtract.outer(z * sqrt_ik, self.cond_mean)
+            u /= self.sd
+            u *= u
+            u *= -0.5
+            np.exp(u, out=u)
+            u *= sqrt_ik / (self.sd * _SQRT_2PI)
+            g = u @ self.wg
         self.wg = w * g
         if self.stage < len(self.info):
             d_info = self.info[self.stage] - self.info[k]
